@@ -112,6 +112,8 @@ void report(const char* name, index_t n, int workers, int reps,
       {"acc_budget_flushes",
        static_cast<double>(m.profile.acc_budget_flushes)},
       {"acc_compactions", static_cast<double>(m.profile.acc_compactions)},
+      {"svd_sweeps", static_cast<double>(m.profile.svd_sweeps)},
+      {"svd_revealed_cols", static_cast<double>(m.profile.svd_revealed_cols)},
       {"ws_hit_rate", m.profile.ws_hit_rate()},
       {"forward_error", m.forward_error},
   };

@@ -1,8 +1,9 @@
 // Micro-benchmarks of the dense substrate (the MKL replacement): the packed
 // register-tiled GEMM engine vs the reference kernel across sizes, shapes,
 // op combinations, and scalar types, plus TRSM / GETRF / QR / ACA riding on
-// the engine. Emits BENCH_kernels.json (schema: EXPERIMENTS.md) and prints
-// a human-readable table.
+// the engine, and the Rk truncation (QR + rank-revealing SVD) of accumulated
+// blocks. Emits BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a
+// human-readable table.
 //
 // Usage: kernels_micro [--smoke] [--out=PATH]
 //   --smoke    trimmed sweep for CI (still covers blocked-vs-reference at
@@ -11,14 +12,19 @@
 //
 // Exit status is nonzero if the blocked double GEMM is slower than the
 // reference kernel at n = 512 — the regression gate CI runs on every push.
+#include <array>
+#include <cmath>
 #include <complex>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/counters.hpp"
+#include "common/rng.hpp"
 #include "la/la.hpp"
 #include "rk/aca.hpp"
+#include "rk/truncation.hpp"
 
 using namespace hcham;
 
@@ -62,6 +68,83 @@ void gemm_pair(const char* tag, index_t m, index_t n, index_t k, int reps,
                                 c.view());
         }));
   }
+}
+
+/// Point cloud of `n` points uniform in the unit cube at `origin`.
+std::vector<std::array<double, 3>> cube_points(index_t n,
+                                               std::array<double, 3> origin,
+                                               Rng& rng) {
+  std::vector<std::array<double, 3>> p(static_cast<std::size_t>(n));
+  for (auto& x : p)
+    for (int d = 0; d < 3; ++d) x[d] = origin[d] + rng.uniform();
+  return p;
+}
+
+/// 1/d (real) or exp(i d)/d (complex) between two points.
+template <typename T>
+T kernel(const std::array<double, 3>& x, const std::array<double, 3>& y) {
+  const double d = std::sqrt((x[0] - y[0]) * (x[0] - y[0]) +
+                             (x[1] - y[1]) * (x[1] - y[1]) +
+                             (x[2] - y[2]) * (x[2] - y[2]));
+  if constexpr (is_complex_v<T>) {
+    return std::polar(1.0 / d, d);
+  } else {
+    return 1.0 / d;
+  }
+}
+
+/// Truncation of an accumulated 256 x 256 Rk block of core width `k`: the
+/// sum of k / 16 H-LU-style updates K(X, Z_t) K(Z_t, Y), each exact rank 16
+/// through an intermediate cluster Z_t, between well-separated clusters X
+/// and Y. Its spectrum decays like a BEM kernel's, and like the flushes of
+/// the factorization most of the core is numerically redundant. Reports ms
+/// per truncate(eps = 1e-4) and the Jacobi sweeps and revealed columns of
+/// one call.
+template <typename T>
+void truncation_row(const char* tag, index_t k, int reps) {
+  const index_t m = 256;
+  const index_t w = 16;
+  Rng rng(11);
+  const auto xs = cube_points(m, {0, 0, 0}, rng);
+  const auto ys = cube_points(m, {3, 0, 0}, rng);
+  la::Matrix<T> u(m, k), v(m, k);
+  for (index_t t = 0; t < k / w; ++t) {
+    const auto zs =
+        cube_points(w, {1.5, static_cast<double>(t % 4) - 1.5, 1.0}, rng);
+    for (index_t l = 0; l < w; ++l)
+      for (index_t i = 0; i < m; ++i) {
+        u(i, t * w + l) = kernel<T>(xs[static_cast<std::size_t>(i)],
+                                    zs[static_cast<std::size_t>(l)]);
+        v(i, t * w + l) = conj_if(kernel<T>(zs[static_cast<std::size_t>(l)],
+                                            ys[static_cast<std::size_t>(i)]));
+      }
+  }
+  const rk::RkMatrix<T> block(std::move(u), std::move(v));
+  const rk::TruncationParams params{1e-4, -1};
+
+  const ArithCounterSnapshot c0 = snapshot_arith_counters();
+  rk::RkMatrix<T> once = block;
+  const index_t rank = rk::truncate(once, params);
+  const ArithCounterSnapshot c1 = snapshot_arith_counters();
+
+  bench::BenchRecord rec = bench::bench_time(
+      std::string("truncate_") + tag, k, 0.0, reps, [&] {
+        rk::RkMatrix<T> a = block;
+        if (rk::truncate(a, params) != rank) std::abort();
+      });
+  rec.extra = {
+      {"ms_per_truncate", rec.median_s * 1e3},
+      {"sweeps", static_cast<double>(c1.svd_sweeps - c0.svd_sweeps)},
+      {"revealed_cols",
+       static_cast<double>(c1.svd_revealed_cols - c0.svd_revealed_cols)},
+      {"rank", static_cast<double>(rank)},
+  };
+  std::printf("%-24s k=%-6ld reps=%d  %.3f ms/truncate  sweeps %g  "
+              "revealed %g  rank %ld\n",
+              rec.name.c_str(), static_cast<long>(k), reps,
+              rec.median_s * 1e3, rec.extra[1].second, rec.extra[2].second,
+              static_cast<long>(rank));
+  g_json.add(std::move(rec));
 }
 
 }  // namespace
@@ -166,6 +249,12 @@ int main(int argc, char** argv) {
       auto r = rk::aca_partial<double>(gen, am, am, 1e-6);
       if (r.rank() < 0) std::abort();  // keep the result observable
     }));
+  }
+
+  // Low-rank truncation of accumulated blocks (the flush kernel).
+  for (const index_t k : {32, 128}) {
+    truncation_row<double>("d", k, reps * 4);
+    truncation_row<std::complex<double>>("z", k, reps * 4);
   }
 
   if (!g_json.write(out)) {

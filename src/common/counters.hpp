@@ -31,9 +31,13 @@ struct ArithCounters {
   std::atomic<std::uint64_t> batch_ops{0};
   std::atomic<std::uint64_t> batch_bucketed_ops{0};
   std::atomic<std::uint64_t> batch_immediate_ops{0};
+  // SVD work (la/svd.hpp): Jacobi sweeps run and columns the pivoted-QR
+  // front end revealed (the r' the sweeps ran over), summed over calls.
+  std::atomic<std::uint64_t> svd_sweeps{0};
+  std::atomic<std::uint64_t> svd_revealed_cols{0};
 
-  void bump(std::atomic<std::uint64_t>& c) {
-    c.fetch_add(1, std::memory_order_relaxed);
+  void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+    c.fetch_add(n, std::memory_order_relaxed);
   }
 };
 
@@ -57,6 +61,8 @@ struct ArithCounterSnapshot {
   std::uint64_t batch_ops = 0;
   std::uint64_t batch_bucketed_ops = 0;
   std::uint64_t batch_immediate_ops = 0;
+  std::uint64_t svd_sweeps = 0;
+  std::uint64_t svd_revealed_cols = 0;
 };
 
 inline ArithCounterSnapshot snapshot_arith_counters() {
@@ -79,6 +85,8 @@ inline ArithCounterSnapshot snapshot_arith_counters() {
       c.batch_bucketed_ops.load(std::memory_order_relaxed);
   s.batch_immediate_ops =
       c.batch_immediate_ops.load(std::memory_order_relaxed);
+  s.svd_sweeps = c.svd_sweeps.load(std::memory_order_relaxed);
+  s.svd_revealed_cols = c.svd_revealed_cols.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -97,6 +105,8 @@ inline void reset_arith_counters() {
   c.batch_ops.store(0, std::memory_order_relaxed);
   c.batch_bucketed_ops.store(0, std::memory_order_relaxed);
   c.batch_immediate_ops.store(0, std::memory_order_relaxed);
+  c.svd_sweeps.store(0, std::memory_order_relaxed);
+  c.svd_revealed_cols.store(0, std::memory_order_relaxed);
 }
 
 /// Process-wide tallies for the task-graph capture/replay layer (DESIGN.md

@@ -24,6 +24,8 @@ struct ArithProfile {
   std::uint64_t acc_flushes = 0;
   std::uint64_t acc_budget_flushes = 0;
   std::uint64_t acc_compactions = 0;
+  std::uint64_t svd_sweeps = 0;         ///< Jacobi sweeps, summed over SVDs
+  std::uint64_t svd_revealed_cols = 0;  ///< pivoted-QR columns r', summed
   std::uint64_t ws_hits = 0;
   std::uint64_t ws_misses = 0;
 
@@ -45,6 +47,8 @@ inline ArithProfile arith_profile() {
   p.acc_flushes = s.acc_flushes;
   p.acc_budget_flushes = s.acc_budget_flushes;
   p.acc_compactions = s.acc_compactions;
+  p.svd_sweeps = s.svd_sweeps;
+  p.svd_revealed_cols = s.svd_revealed_cols;
   p.ws_hits = s.ws_hits;
   p.ws_misses = s.ws_misses;
   return p;

@@ -40,6 +40,18 @@ real_t<T> norm_max(ConstMatrixView<T> a) {
   return m;
 }
 
+/// True when no entry of `a` is NaN or infinite.
+template <typename T>
+bool all_finite(ConstMatrixView<T> a) {
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const T x = a(i, j);
+      if (!std::isfinite(std::real(x)) || !std::isfinite(std::imag(x)))
+        return false;
+    }
+  return true;
+}
+
 /// Euclidean norm of a raw vector.
 template <typename T>
 real_t<T> nrm2(index_t n, const T* x) {

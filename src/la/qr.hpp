@@ -227,53 +227,52 @@ void qr_thin_ws(ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r) {
       r(i, j) = work(i, j);
 }
 
-/// Greedy column-pivoted truncated QR via modified Gram-Schmidt:
-/// a (m x n) ~= q(:, 0:r) * rr(0:r, :) with rr's columns kept in ORIGINAL
-/// order (no permutation to undo). The factorization stops as soon as the
-/// largest remaining column norm falls below rtol times the first pivot
-/// norm (or at max_rank >= 0 columns), so the cost is O(m n r) -- linear
-/// in the revealed rank r rather than cubic in n. The dropped residual is
-/// column-wise below rtol * |first pivot|, which makes this the right tool
-/// for rank CONTROL of intermediate accumulations; final accuracy-bearing
-/// truncations should keep using the SVD path.
-///
-/// q must be at least m x min(m, n) (first r columns written, orthonormal),
-/// rr at least min(m, n) x n (fully zeroed, first r rows filled). Returns r.
+/// qr_pivoted_rank below, overwriting its input `w` with the residual
+/// instead of copying it, for callers that hold a scratch copy already.
 template <typename T>
-index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
-                        MatrixView<T> rr, double rtol,
-                        index_t max_rank = -1) {
+index_t qr_pivoted_rank_inplace(MatrixView<T> w, MatrixView<T> q,
+                                MatrixView<T> rr, double rtol,
+                                index_t max_rank) {
   using R = real_t<T>;
-  const index_t m = a.rows();
-  const index_t n = a.cols();
+  const index_t m = w.rows();
+  const index_t n = w.cols();
   index_t kmax = m < n ? m : n;
   if (max_rank >= 0 && max_rank < kmax) kmax = max_rank;
   HCHAM_CHECK(q.rows() == m && q.cols() >= kmax);
   HCHAM_CHECK(rr.rows() >= kmax && rr.cols() == n);
+  HCHAM_CHECK_MSG(all_finite(ConstMatrixView<T>(w)), "non-finite matrix");
   rr.set_zero();
 
   WorkspaceScope ws;
-  MatrixView<T> w = ws.matrix<T>(m, n);
-  copy(a, w);
   char* used = ws.alloc<char>(n);
   for (index_t j = 0; j < n; ++j) used[j] = 0;
 
+  // Pivot search on exact squared remaining norms, no downdating drift:
+  // each is recomputed in the same pass that projects its column. Plain
+  // sums of squares, where the overflow-safe nrm2 costs a division and, for
+  // complex, a hypot per entry.
+  R* nsq = ws.alloc<R>(n);
+  for (index_t j = 0; j < n; ++j) nsq[j] = norm_fro_sq(m, w.col(j));
+  const R rtol_sq = R(rtol) * R(rtol);
+  R norm0_sq{};
   R norm0{};
   index_t rank = 0;
   while (rank < kmax) {
-    // Exact remaining norms (no downdating drift); n and m are small here.
     index_t p = -1;
     R best{};
     for (index_t j = 0; j < n; ++j) {
       if (used[j]) continue;
-      const R nj = nrm2(m, w.col(j));
+      const R nj = nsq[j];
       if (p < 0 || nj > best) {
         best = nj;
         p = j;
       }
     }
-    if (rank == 0) norm0 = best;
-    if (p < 0 || !(best > R(rtol) * norm0)) break;
+    if (rank == 0) {
+      norm0_sq = best;
+      norm0 = std::sqrt(best);
+    }
+    if (p < 0 || !(best > rtol_sq * norm0_sq)) break;
     T* wp = w.col(p);
     // One re-orthogonalization pass keeps MGS honest on graded columns.
     for (index_t l = 0; l < rank; ++l) {
@@ -296,11 +295,40 @@ index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
       T cj{};
       for (index_t i = 0; i < m; ++i) cj += conj_if(qk[i]) * wj[i];
       rr(rank, j) = cj;
-      for (index_t i = 0; i < m; ++i) wj[i] -= qk[i] * cj;
+      R sq{};
+      for (index_t i = 0; i < m; ++i) {
+        wj[i] -= qk[i] * cj;
+        sq += abs_sq(wj[i]);
+      }
+      nsq[j] = sq;
     }
     ++rank;
   }
   return rank;
+}
+
+/// Greedy column-pivoted truncated QR via modified Gram-Schmidt:
+/// a (m x n) ~= q(:, 0:r) * rr(0:r, :) with rr's columns kept in ORIGINAL
+/// order (no permutation to undo). The factorization stops as soon as the
+/// largest remaining column norm falls below rtol times the first pivot
+/// norm (or at max_rank >= 0 columns), so the cost is O(m n r) -- linear
+/// in the revealed rank r rather than cubic in n. The dropped residual is
+/// column-wise below rtol * |first pivot|. At an eps-level rtol this is the
+/// rank CONTROL of intermediate accumulations; at a machine-precision rtol
+/// it is the rank-revealing front end of svd_into.
+///
+/// q must be at least m x min(m, n) (first r columns written, orthonormal),
+/// rr at least min(m, n) x n (fully zeroed, first r rows filled). Returns r.
+/// A non-finite `a` raises hcham::Error: a NaN column would never win the
+/// pivot comparison and would silently drop out of the factorization.
+template <typename T>
+index_t qr_pivoted_rank(ConstMatrixView<T> a, MatrixView<T> q,
+                        MatrixView<T> rr, double rtol,
+                        index_t max_rank = -1) {
+  WorkspaceScope ws;
+  MatrixView<T> w = ws.matrix<T>(a.rows(), a.cols());
+  copy(a, w);
+  return qr_pivoted_rank_inplace<T>(w, q, rr, rtol, max_rank);
 }
 
 /// Thin QR convenience wrapper with owning outputs: A (m x n) -> Q (m x k),

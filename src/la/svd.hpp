@@ -1,13 +1,23 @@
-// Singular value decomposition via one-sided Jacobi (Hestenes), valid for
-// real and complex scalars.
+// Singular value decomposition by QR-preconditioned, rank-revealing
+// one-sided Jacobi (Drmac-Veselic), valid for real and complex scalars.
 //
-// One-sided Jacobi applies unitary plane rotations to the columns of A until
-// they are mutually orthogonal; the column norms are then the singular
-// values, the normalized columns form U, and the accumulated rotations form
-// V, i.e. A = U * diag(sigma) * V^H. Jacobi is slower than bidiagonal
-// methods but simple, robust, and highly accurate — it is used here on the
-// small k x k cores of low-rank truncations and on modest dense blocks, so
-// its O(n^3) sweeps are never the bottleneck.
+// For A (m x n, m >= n) the greedy column-pivoted QR (qr_pivoted_rank) runs
+// first at a machine-precision tolerance, n * eps of the real type:
+// A ~= Q * Rr with r' <= n rows, Q orthonormal, and a dropped residual below
+// sqrt(n) * n * eps * |A| -- far under any truncation tolerance, so the
+// contract sigma_i > eps * sigma_0 of the callers is untouched. One-sided
+// Jacobi (Hestenes) then applies plane rotations W to the columns of the
+// small, graded factor X = Rr^H (n x r') until they are mutually orthogonal:
+// X W = Y, so A ~= (Q W) diag(|y_j|) (Y / |y_j|)^H.
+//
+// The front end is what makes Jacobi cheap here; without it, Jacobi's
+// sweeps were the bottleneck of the H-LU factorization. On the k x k cores
+// of the low-rank flushes (k up to 128, a kept rank of 5-6 at eps = 1e-4)
+// plain one-sided Jacobi on the full core ran 9 sweeps per call at k <= 64
+// and 30 at 64 < k <= 128, grinding until the roundoff-level null-space
+// columns were orthogonal to each other, and took 63% of a real BEM
+// factorization. On the graded r'-column factor it runs 4-6 sweeps
+// (DESIGN.md section 9 has the table).
 #pragma once
 
 #include <algorithm>
@@ -16,9 +26,12 @@
 #include <numeric>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/scalar.hpp"
+#include "la/gemm.hpp"
 #include "la/matrix.hpp"
 #include "la/norms.hpp"
+#include "la/qr.hpp"
 #include "la/view.hpp"
 #include "la/workspace.hpp"
 
@@ -35,10 +48,11 @@ struct SvdResult {
 
 namespace detail {
 
-/// Core one-sided Jacobi for m >= n. Works in place on `work` (m x n) and
-/// accumulates rotations into `v` (n x n, starts as identity).
+/// One-sided Jacobi on `work` (m x n) in place, accumulating the rotations
+/// into `v` (n x n, starts as identity). Returns the number of sweeps run,
+/// the last one being the sweep that found nothing left to rotate.
 template <typename T>
-void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
+int jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
   using R = real_t<T>;
   const index_t m = work.rows();
   const index_t n = work.cols();
@@ -46,7 +60,9 @@ void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
   const R tol = std::sqrt(static_cast<R>(m)) * eps;
   const int max_sweeps = 42;
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+  int sweeps = 0;
+  while (sweeps < max_sweeps) {
+    ++sweeps;
     bool rotated = false;
     for (index_t p = 0; p < n - 1; ++p) {
       for (index_t q = p + 1; q < n; ++q) {
@@ -89,17 +105,43 @@ void jacobi_sweeps(MatrixView<T> work, MatrixView<T> v) {
     }
     if (!rotated) break;
   }
+  return sweeps;
+}
+
+/// Overwrite columns [r, k) of `q` (p x k, k <= p, leading r columns
+/// orthonormal) with an orthonormal completion: the Householder QR of
+/// [q(:, 0:r) 0] has unit reflectors past column r, so the trailing columns
+/// of its thin Q are orthogonal to span(q(:, 0:r)).
+template <typename T>
+void complete_basis(MatrixView<T> q, index_t r) {
+  const index_t p = q.rows();
+  const index_t k = q.cols();
+  if (r >= k) return;
+  WorkspaceScope ws;
+  MatrixView<T> a = ws.matrix<T>(p, k);
+  a.set_zero();
+  copy(ConstMatrixView<T>(q).block(0, 0, p, r), a.block(0, 0, p, r));
+  T* tau = ws.alloc<T>(k);
+  geqrf(a, tau);
+  MatrixView<T> full = ws.matrix<T>(p, k);
+  orgqr_into(ConstMatrixView<T>(a), tau, k, full);
+  copy(ConstMatrixView<T>(full).block(0, r, p, k - r),
+       q.block(0, r, p, k - r));
 }
 
 }  // namespace detail
 
-/// Thin SVD into caller-provided storage: A (m x n) = U diag(sigma) V^H
-/// with k = min(m, n); u is m x k, v is n x k, sigma holds k values sorted
-/// decreasing. All outputs are fully overwritten; A is not modified.
-/// Scratch comes from the thread's workspace arena.
+/// Rank-revealing thin SVD into caller-provided storage: u is m x k, v is
+/// n x k and sigma holds k values, k = min(m, n). Returns the revealed rank
+/// r <= k: sigma[0, r) are the positive singular values sorted decreasing
+/// with their singular vectors in the leading r columns of u and v, and
+/// sigma[r, k) is zero. Columns [r, k) of u and v are left unspecified (they
+/// serve as scratch); svd() completes them. A is not modified; it must be
+/// finite (hcham::Error otherwise). Further scratch comes from the thread's
+/// workspace arena.
 template <typename T>
-void svd_into(ConstMatrixView<T> a, MatrixView<T> u, real_t<T>* sigma_out,
-              MatrixView<T> v) {
+index_t svd_into(ConstMatrixView<T> a, MatrixView<T> u, real_t<T>* sigma_out,
+                 MatrixView<T> v) {
   using R = real_t<T>;
   const index_t m = a.rows();
   const index_t n = a.cols();
@@ -110,50 +152,69 @@ void svd_into(ConstMatrixView<T> a, MatrixView<T> u, real_t<T>* sigma_out,
     MatrixView<T> ah = ws.matrix<T>(n, m);
     for (index_t j = 0; j < m; ++j)
       for (index_t i = 0; i < n; ++i) ah(i, j) = conj_if(a(j, i));
-    svd_into<T>(ConstMatrixView<T>(ah), v, sigma_out, u);
-    return;
+    return svd_into<T>(ConstMatrixView<T>(ah), v, sigma_out, u);
   }
   HCHAM_CHECK(u.rows() == m && u.cols() == n);
   HCHAM_CHECK(v.rows() == n && v.cols() == n);
+  for (index_t j = 0; j < n; ++j) sigma_out[j] = R{};
+  if (n == 0) return 0;
 
+  // Rank-revealing front end: A ~= Q * Rr, Rr (r x n) in original column
+  // order. It runs in place on a copy of A in u, and Rr lands in v: both
+  // are overwritten by the result at the end, so the arena holds only Q.
+  // The pivoted QR rejects a non-finite A.
   WorkspaceScope ws;
-  MatrixView<T> work = ws.matrix<T>(m, n);
-  copy(a, work);
-  MatrixView<T> vw = ws.matrix<T>(n, n);
-  vw.set_identity();
-  detail::jacobi_sweeps(work, vw);
+  copy(a, u);
+  MatrixView<T> q = ws.matrix<T>(m, n);
+  const double rtol =
+      static_cast<double>(n) * std::numeric_limits<R>::epsilon();
+  const index_t r = qr_pivoted_rank_inplace<T>(u, q, v, rtol, -1);
+  arith_counters().bump(arith_counters().svd_revealed_cols,
+                        static_cast<std::uint64_t>(r));
+  if (r == 0) return 0;
 
-  // Extract singular values and left vectors.
-  R* sigma = ws.alloc<R>(n);
-  for (index_t j = 0; j < n; ++j) sigma[j] = nrm2(m, work.col(j));
+  // Jacobi on X = Rr^H (n x r, in u): X W = Y with orthogonal columns.
+  MatrixView<T> x = u.block(0, 0, n, r);
+  for (index_t j = 0; j < r; ++j)
+    for (index_t i = 0; i < n; ++i) x(i, j) = conj_if(v(j, i));
+  MatrixView<T> w = ws.matrix<T>(r, r);
+  w.set_identity();
+  const int sweeps = detail::jacobi_sweeps(x, w);
+  arith_counters().bump(arith_counters().svd_sweeps,
+                        static_cast<std::uint64_t>(sweeps));
 
-  // Sort decreasing.
-  index_t* order = ws.alloc<index_t>(n);
-  std::iota(order, order + n, index_t{0});
-  std::sort(order, order + n,
-            [&](index_t x, index_t y) { return sigma[x] > sigma[y]; });
+  R* sigma = ws.alloc<R>(r);
+  for (index_t j = 0; j < r; ++j) sigma[j] = nrm2(n, x.col(j));
+  index_t* order = ws.alloc<index_t>(r);
+  std::iota(order, order + r, index_t{0});
+  std::sort(order, order + r,
+            [&](index_t i, index_t j) { return sigma[i] > sigma[j]; });
+  index_t rank = 0;
+  while (rank < r && sigma[order[rank]] > R{}) ++rank;
 
-  for (index_t j = 0; j < n; ++j) {
+  // V = Y / sigma (over Rr in v), then U = Q * W (over X in u), both in
+  // sorted order.
+  MatrixView<T> wsorted = ws.matrix<T>(r, rank);
+  for (index_t j = 0; j < rank; ++j) {
     const index_t src = order[j];
     const R s = sigma[src];
     sigma_out[j] = s;
-    const T* wc = work.col(src);
-    T* uc = u.col(j);
-    if (s > R{}) {
-      const T inv = T(R{1} / s);
-      for (index_t i = 0; i < m; ++i) uc[i] = wc[i] * inv;
-    } else {
-      for (index_t i = 0; i < m; ++i) uc[i] = T{};
-      // Keep U well-formed for rank-deficient inputs: unit vector.
-      if (j < m) uc[j] = T{1};
-    }
-    const T* vc = vw.col(src);
-    T* rvc = v.col(j);
-    for (index_t i = 0; i < n; ++i) rvc[i] = vc[i];
+    copy(ConstMatrixView<T>(w).block(0, src, r, 1),
+         wsorted.block(0, j, r, 1));
+    const T inv = T(R{1} / s);
+    const T* xc = x.col(src);
+    T* vc = v.col(j);
+    for (index_t i = 0; i < n; ++i) vc[i] = xc[i] * inv;
   }
+  gemm(Op::NoTrans, Op::NoTrans, T{1},
+       ConstMatrixView<T>(q).block(0, 0, m, r), ConstMatrixView<T>(wsorted),
+       T{}, u.block(0, 0, m, rank));
+  return rank;
 }
 
-/// Full (thin) SVD with owning outputs; A is not modified.
+/// Full (thin) SVD with owning outputs; A is not modified. The singular
+/// vectors of the zero singular values complete U and V to orthonormal
+/// bases.
 template <typename T>
 SvdResult<T> svd(ConstMatrixView<T> a) {
   const index_t m = a.rows();
@@ -163,7 +224,10 @@ SvdResult<T> svd(ConstMatrixView<T> a) {
   result.u.reset(m, k);
   result.v.reset(n, k);
   result.sigma.resize(static_cast<std::size_t>(k));
-  svd_into<T>(a, result.u.view(), result.sigma.data(), result.v.view());
+  const index_t r = svd_into<T>(a, result.u.view(), result.sigma.data(),
+                                result.v.view());
+  detail::complete_basis(result.u.view(), r);
+  detail::complete_basis(result.v.view(), r);
   return result;
 }
 

@@ -2,8 +2,11 @@
 // H-arithmetic log-linear (paper Section II-A).
 //
 // The standard QR+SVD scheme is used: factor U = Qu Ru and V = Qv Rv, take
-// the SVD of the small core Ru Rv^H, and keep the singular triplets above
-// the relative tolerance (and below the rank cap). Rounded addition
+// the SVD of the small core Ru Rv^H (la/svd.hpp: a machine-precision
+// pivoted QR, then Jacobi on the revealed columns only), and keep the
+// singular triplets above the relative tolerance (and below the rank cap).
+// Accumulator compaction shares the same steps but stops after an
+// eps-level pivoted QR of the core (detail::recompress). Rounded addition
 // concatenates factors and truncates; the concatenation is exact, so the
 // lazy accumulator (accumulator.hpp) can defer the truncate across many
 // additions without losing accuracy. All intermediate factors here come
@@ -37,84 +40,24 @@ struct TruncationParams {
   }
 };
 
-/// Truncate `a` in place to the requested accuracy. Returns the new rank.
+namespace detail {
+
+/// Recompress the factor columns [from, rank) of `c` in place: QR both
+/// factor slices (U = Qu Ru, V = Qv Rv), reveal the rank of the small core
+/// Ru Rv^H, and multiply the kept part back onto Qu and Qv. A flush
+/// (`flush` = true, from = 0) runs the SVD of the core and keeps the
+/// triplets above the relative tolerance -- the accuracy contract -- and
+/// marks the block compressed. A compaction stops after the eps-level
+/// pivoted QR of the core (rank control only) and replaces the tail
+/// without raising the watermark. A non-finite core raises hcham::Error
+/// rather than truncating to a zero block. Returns the new rank of `c`.
 template <typename T>
-index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
+index_t recompress(RkMatrix<T>& c, index_t from, const TruncationParams& params,
+                   bool flush) {
   using R = real_t<T>;
-  const index_t k = a.rank();
-  if (k == 0) {
-    a.mark_compressed();
-    return 0;
-  }
-  arith_counters().bump(arith_counters().truncations);
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t ku = std::min(m, k);
-  const index_t kv = std::min(n, k);
-
-  la::WorkspaceScope ws;
-  la::MatrixView<T> qu = ws.matrix<T>(m, ku);
-  la::MatrixView<T> ru = ws.matrix<T>(ku, k);
-  la::MatrixView<T> qv = ws.matrix<T>(n, kv);
-  la::MatrixView<T> rv = ws.matrix<T>(kv, k);
-  // The U- and V-factor QRs are independent: collect both as descriptors
-  // and run them as one bucket (la/batch.hpp) — the hook a batched QR
-  // backend slots into.
-  {
-    la::QrStream<T> qrs;
-    qrs.push(a.u().cview(), qu, ru);
-    qrs.push(a.v().cview(), qv, rv);
-    qrs.flush();
-  }
-
-  // Core = Ru * Rv^H (ku x kv), then its SVD.
-  la::MatrixView<T> core = ws.matrix<T>(ku, kv);
-  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(ru),
-           la::ConstMatrixView<T>(rv), T{}, core);
-  const index_t kk = std::min(ku, kv);
-  la::MatrixView<T> su = ws.matrix<T>(ku, kk);
-  la::MatrixView<T> sv = ws.matrix<T>(kv, kk);
-  R* sigma_r = ws.alloc<R>(kk);
-  la::svd_into<T>(la::ConstMatrixView<T>(core), su, sigma_r, sv);
-
-  std::vector<double> sigma(sigma_r, sigma_r + kk);
-  const index_t r = params.select_rank(sigma);
-  if (r == 0) {
-    a.set_zero();
-    return 0;
-  }
-
-  // New U = Qu * (Uhat_r * Sigma_r), new V = Qv * Vhat_r.
-  la::MatrixView<T> us = ws.matrix<T>(ku, r);
-  for (index_t j = 0; j < r; ++j)
-    for (index_t i = 0; i < ku; ++i)
-      us(i, j) = su(i, j) * T(sigma_r[j]);
-  la::Matrix<T> nu(m, r), nv(n, r);
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qu),
-           la::ConstMatrixView<T>(us), T{}, nu.view());
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qv),
-           la::ConstMatrixView<T>(sv).block(0, 0, kv, r), T{}, nv.view());
-  a.set_factors(std::move(nu), std::move(nv));
-  return r;
-}
-
-/// Compress only the factor columns [from, rank) of `c` in place -- the
-/// pending tail of an accumulator target -- leaving the leading columns
-/// untouched. Rank revelation on the small core uses the greedy pivoted QR
-/// (O(kp^2 r)) rather than the Jacobi SVD (O(kp^3 sweeps)): a compaction
-/// only needs rank CONTROL, and the eventual flush still runs the real
-/// SVD truncation for the accuracy contract. The dropped mass is below
-/// ~eps * sigma_max(tail), so a compaction is no less accurate than the
-/// rounded addition of the same contributions would have been. The block
-/// stays pending (the watermark does not rise): head and tail are jointly
-/// recompressed by the eventual flush.
-template <typename T>
-index_t compact_tail(RkMatrix<T>& c, index_t from,
-                     const TruncationParams& params) {
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t kp = c.rank() - from;
-  if (kp <= 0) return c.rank();
   const index_t ku = std::min(m, kp);
   const index_t kv = std::min(n, kp);
 
@@ -123,6 +66,9 @@ index_t compact_tail(RkMatrix<T>& c, index_t from,
   la::MatrixView<T> ru = ws.matrix<T>(ku, kp);
   la::MatrixView<T> qv = ws.matrix<T>(n, kv);
   la::MatrixView<T> rv = ws.matrix<T>(kv, kp);
+  // The U- and V-factor QRs are independent: collect both as descriptors
+  // and run them as one bucket (la/batch.hpp) — the hook a batched QR
+  // backend slots into.
   {
     la::QrStream<T> qrs;
     qrs.push(c.u().cview().block(0, from, m, kp), qu, ru);
@@ -133,19 +79,75 @@ index_t compact_tail(RkMatrix<T>& c, index_t from,
   la::MatrixView<T> core = ws.matrix<T>(ku, kv);
   la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(ru),
            la::ConstMatrixView<T>(rv), T{}, core);
+  HCHAM_CHECK_MSG(la::all_finite(la::ConstMatrixView<T>(core)),
+                  "non-finite Rk block");
+
+  // Rank reveal: core ~= lhs(:, 0:r) * rhs(:, 0:r)^H.
   const index_t kk = std::min(ku, kv);
-  la::MatrixView<T> qc = ws.matrix<T>(ku, kk);
-  la::MatrixView<T> rc = ws.matrix<T>(kk, kv);
-  const index_t r = la::qr_pivoted_rank<T>(la::ConstMatrixView<T>(core), qc,
-                                           rc, params.eps, params.max_rank);
-  la::MatrixView<T> nu = ws.matrix<T>(m, r);
-  la::MatrixView<T> nv = ws.matrix<T>(n, r);
+  la::MatrixView<T> lhs = ws.matrix<T>(ku, kk);
+  la::MatrixView<T> rhs = ws.matrix<T>(kv, kk);
+  index_t r;
+  if (flush) {
+    R* sigma_r = ws.alloc<R>(kk);
+    la::svd_into<T>(la::ConstMatrixView<T>(core), lhs, sigma_r, rhs);
+    std::vector<double> sigma(static_cast<std::size_t>(kk));
+    std::copy(sigma_r, sigma_r + kk, sigma.begin());
+    r = params.select_rank(sigma);
+    for (index_t j = 0; j < r; ++j)
+      for (index_t i = 0; i < ku; ++i) lhs(i, j) *= T(sigma_r[j]);
+  } else {
+    la::MatrixView<T> rc = ws.matrix<T>(kk, kv);
+    r = la::qr_pivoted_rank_inplace<T>(core, lhs, rc, params.eps,
+                                       params.max_rank);
+    for (index_t j = 0; j < r; ++j)
+      for (index_t i = 0; i < kv; ++i) rhs(i, j) = conj_if(rc(j, i));
+  }
+  if (flush && r == 0) {
+    c.set_zero();
+    return 0;
+  }
+
+  la::Matrix<T> nu(m, r), nv(n, r);
   la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qu),
-           la::ConstMatrixView<T>(qc).block(0, 0, ku, r), T{}, nu);
-  la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(qv),
-           la::ConstMatrixView<T>(rc).block(0, 0, r, kv), T{}, nv);
-  c.replace_tail(from, la::ConstMatrixView<T>(nu), la::ConstMatrixView<T>(nv));
+           la::ConstMatrixView<T>(lhs).block(0, 0, ku, r), T{}, nu.view());
+  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qv),
+           la::ConstMatrixView<T>(rhs).block(0, 0, kv, r), T{}, nv.view());
+  if (flush)
+    c.set_factors(std::move(nu), std::move(nv));
+  else
+    c.replace_tail(from, nu.cview(), nv.cview());
   return c.rank();
+}
+
+}  // namespace detail
+
+/// Truncate `a` in place to the requested accuracy (the QR+SVD flush).
+/// Returns the new rank.
+template <typename T>
+index_t truncate(RkMatrix<T>& a, const TruncationParams& params) {
+  if (a.rank() == 0) {
+    a.mark_compressed();
+    return 0;
+  }
+  arith_counters().bump(arith_counters().truncations);
+  return detail::recompress(a, 0, params, /*flush=*/true);
+}
+
+/// Compress only the factor columns [from, rank) of `c` in place -- the
+/// pending tail of an accumulator target -- leaving the leading columns
+/// untouched. Rank revelation on the small core uses the greedy pivoted QR
+/// at eps (O(kp^2 r)) and skips the Jacobi step: a compaction only needs
+/// rank CONTROL, and the eventual flush still runs the real SVD truncation
+/// for the accuracy contract. The dropped mass is below
+/// ~eps * sigma_max(tail), so a compaction is no less accurate than the
+/// rounded addition of the same contributions would have been. The block
+/// stays pending (the watermark does not rise): head and tail are jointly
+/// recompressed by the eventual flush.
+template <typename T>
+index_t compact_tail(RkMatrix<T>& c, index_t from,
+                     const TruncationParams& params) {
+  if (c.rank() - from <= 0) return c.rank();
+  return detail::recompress(c, from, params, /*flush=*/false);
 }
 
 namespace detail {

@@ -42,6 +42,16 @@ inline void trace_to_json(const std::vector<TraceEvent>& trace,
       << ", \"ll_parks\": " << rc.ll_parks << ", \"ll_wakes\": " << rc.ll_wakes
       << ", \"affinity_hits\": " << rc.affinity_hits
       << ", \"affinity_misses\": " << rc.affinity_misses << "}}";
+  // Arithmetic profile, same process-wide convention: recompressions and
+  // the SVD work behind them. Revealed columns and sweeps per truncation
+  // show a fall-back to full-width Jacobi.
+  const ArithCounterSnapshot ac = snapshot_arith_counters();
+  out << ",\n  {\"name\": \"arith\", \"ph\": \"C\", \"pid\": 0, \"ts\": 0, "
+      << "\"args\": {\"truncations\": " << ac.truncations
+      << ", \"acc_flushes\": " << ac.acc_flushes
+      << ", \"acc_compactions\": " << ac.acc_compactions
+      << ", \"svd_sweeps\": " << ac.svd_sweeps
+      << ", \"svd_revealed_cols\": " << ac.svd_revealed_cols << "}}";
   out << "\n]\n";
 }
 

@@ -194,5 +194,19 @@ TEST(TraceJson, ExportsChromeTracingEvents) {
   EXPECT_EQ(json.front(), '[');
 }
 
+TEST(TraceJson, EmitsArithmeticProfile) {
+  Engine eng({.num_workers = 1, .record_trace = true});
+  auto h = eng.register_data();
+  eng.submit([] {}, {rt::write(h)}, 0, "getrf");
+  eng.wait_all();
+  std::ostringstream out;
+  rt::trace_to_json(eng.trace(), eng.graph(), out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"name\": \"arith\""), std::string::npos);
+  EXPECT_NE(json.find("\"svd_sweeps\": "), std::string::npos);
+  EXPECT_NE(json.find("\"svd_revealed_cols\": "), std::string::npos);
+  EXPECT_EQ(json.substr(json.size() - 3), "\n]\n");
+}
+
 }  // namespace
 }  // namespace hcham

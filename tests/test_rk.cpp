@@ -1,6 +1,10 @@
 // RkMatrix, truncation, and rounded-addition tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "rk/accumulator.hpp"
 #include "rk/rk_matrix.hpp"
 #include "rk/truncation.hpp"
 #include "test_utils.hpp"
@@ -205,6 +209,129 @@ TEST(CompressSvd, FullRankInputAtLooseTolerance) {
   auto c = rk::compress_svd<double>(a.cview(), TruncationParams{0.5, -1});
   EXPECT_LT(c.rank(), 20);  // something must be dropped at eps = 0.5
   EXPECT_GT(c.rank(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Truncation through the rank-revealing SVD: accumulated blocks with a known
+// spectrum, and non-finite blocks.
+
+/// An m x m Rk block of core width k whose product U V^H has singular
+/// values `sigma`, with the factors mixed by a random unitary so that no
+/// factor column is a singular vector (the shape of an accumulated block).
+template <typename T>
+RkMatrix<T> rk_with_spectrum(index_t m, const std::vector<double>& sigma,
+                             std::uint64_t seed) {
+  const index_t k = static_cast<index_t>(sigma.size());
+  Matrix<T> qa, qb, g, r0;
+  la::qr_thin<T>(Matrix<T>::random(m, k, seed).cview(), qa, r0);
+  la::qr_thin<T>(Matrix<T>::random(m, k, seed + 1).cview(), qb, r0);
+  la::qr_thin<T>(Matrix<T>::random(k, k, seed + 2).cview(), g, r0);
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < m; ++i)
+      qa(i, j) *= T(static_cast<real_t<T>>(sigma[static_cast<std::size_t>(j)]));
+  Matrix<T> u(m, k), v(m, k);
+  la::gemm(Op::NoTrans, Op::NoTrans, T{1}, qa.cview(), g.cview(), T{},
+           u.view());
+  la::gemm(Op::NoTrans, Op::NoTrans, T{1}, qb.cview(), g.cview(), T{},
+           v.view());
+  return RkMatrix<T>(std::move(u), std::move(v));
+}
+
+/// truncate() keeps exactly the reference rank #{j : sigma_j > eps sigma_0}
+/// on graded blocks of core width 16, 64 and 128, and the truncation error
+/// is the dropped mass. The spectrum is 10^(-j/4) shifted by half a step for
+/// j >= 1, so no sigma_j / sigma_0 sits on an eps threshold.
+template <typename T>
+void truncate_matches_reference_rank(const std::vector<double>& eps_list) {
+  for (const index_t k : {16, 64, 128}) {
+    std::vector<double> sigma(static_cast<std::size_t>(k));
+    for (index_t j = 0; j < k; ++j)
+      sigma[static_cast<std::size_t>(j)] =
+          j == 0 ? 1.0 : std::pow(10.0, -(static_cast<double>(j) + 0.5) / 4);
+    for (const double eps : eps_list) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " eps=" << eps);
+      auto a = rk_with_spectrum<T>(160, sigma,
+                                   300 + static_cast<std::uint64_t>(k));
+      const auto exact = a.dense();
+      const index_t want = la::numerical_rank(sigma, eps);
+      EXPECT_EQ(rk::truncate(a, TruncationParams{eps, -1}), want);
+      EXPECT_EQ(a.rank(), want);
+      EXPECT_FALSE(a.has_pending());
+      double dropped_sq = 0;
+      for (std::size_t j = static_cast<std::size_t>(want); j < sigma.size();
+           ++j)
+        dropped_sq += sigma[j] * sigma[j];
+      Matrix<T> diff = a.dense();
+      la::axpy(T{-1}, exact.cview(), diff.view());
+      EXPECT_LE(static_cast<double>(la::norm_fro(diff.cview())),
+                1.5 * std::sqrt(dropped_sq) +
+                    (std::is_same_v<real_t<T>, float> ? 1e-5 : 1e-12));
+    }
+  }
+}
+
+TEST(Truncate, GradedBlocksKeepReferenceRankReal) {
+  truncate_matches_reference_rank<double>({1e-2, 1e-4, 1e-8});
+}
+
+TEST(Truncate, GradedBlocksKeepReferenceRankComplex) {
+  truncate_matches_reference_rank<zdouble>({1e-2, 1e-4, 1e-8});
+}
+
+TEST(Truncate, GradedBlocksKeepReferenceRankFloat) {
+  // 1e-8 is below float resolution: the reference rank is noise there.
+  truncate_matches_reference_rank<float>({1e-2, 1e-4});
+}
+
+/// A rank-8 64 x 64 block with one NaN (or infinite) factor entry must
+/// raise hcham::Error from both the flush and the compaction, never come
+/// back as a zero block.
+template <typename T>
+void non_finite_block_throws(T bad) {
+  for (const bool in_v : {false, true}) {
+    auto a = random_rk<T>(64, 64, 8, 401);
+    (in_v ? a.v() : a.u())(5, 3) = bad;
+    EXPECT_THROW(rk::truncate(a, TruncationParams{1e-4, -1}), Error);
+    EXPECT_EQ(a.rank(), 8);
+
+    // The same block as the pending tail of an accumulator target.
+    auto c = random_rk<T>(64, 64, 4, 403);
+    c.append_factors(T{1}, a.u().cview(), a.v().cview());
+    EXPECT_THROW(rk::compact_tail(c, 4, TruncationParams{1e-4, -1}), Error);
+    EXPECT_THROW(rk::flush_pending(c, TruncationParams{1e-4, -1}), Error);
+    EXPECT_EQ(c.rank(), 12);
+  }
+}
+
+TEST(Truncate, NonFiniteBlockThrowsReal) {
+  non_finite_block_throws<double>(std::numeric_limits<double>::quiet_NaN());
+  non_finite_block_throws<double>(std::numeric_limits<double>::infinity());
+}
+
+TEST(Truncate, NonFiniteBlockThrowsComplex) {
+  non_finite_block_throws<zdouble>(
+      zdouble(1.0, std::numeric_limits<double>::quiet_NaN()));
+  non_finite_block_throws<zdouble>(
+      zdouble(-std::numeric_limits<double>::infinity(), 0.0));
+}
+
+TEST(CompactTail, KeepsHeadAndCountsUnchanged) {
+  // Compaction replaces only the pending tail, leaves the block pending,
+  // and does not count as a truncation.
+  auto c = random_rk<double>(40, 40, 3, 501);
+  const auto head = Matrix<double>::from_view(c.u().cview());
+  auto tail = rk_with_spectrum<double>(40, {1.0, 0.5, 1e-9, 1e-10}, 503);
+  c.append_factors(1.0, tail.u().cview(), tail.v().cview());
+  auto exact = c.dense();
+  const auto before = snapshot_arith_counters();
+  EXPECT_EQ(rk::compact_tail(c, 3, TruncationParams{1e-6, -1}), 5);
+  const auto after = snapshot_arith_counters();
+  EXPECT_EQ(after.truncations, before.truncations);
+  EXPECT_EQ(after.svd_sweeps, before.svd_sweeps);
+  EXPECT_TRUE(c.has_pending());
+  EXPECT_LT(rel_diff<double>(c.u().cview().block(0, 0, 40, 3), head.cview()),
+            1e-15);
+  EXPECT_LT(rel_diff<double>(c.dense().cview(), exact.cview()), 1e-8);
 }
 
 }  // namespace
