@@ -5,9 +5,9 @@
 //      solve) through UpdatableOperator vs the honest referee (fold the
 //      delta into A, refactorize, solve) — the identity's whole point is
 //      dodging that refactorization for ranks within the budget.
-//   2. Factor-store cold start: Session::restore (mmap + validate + tile
-//      fill) vs Session::build (assembly + factorization) of the same
-//      operator.
+//   2. Factor-store cold start: Session::restore (mmap + metadata check +
+//      one verify-then-fill task per tile) vs Session::build (assembly +
+//      factorization) of the same operator.
 //   3. Bounded multi-tenant SessionCache under a Zipf tenant mix, with a
 //      budget that holds ~2.5 of the 6 tenants resident and spill/reload
 //      through the factor store.
@@ -17,10 +17,12 @@
 //   --out=PATH result file (default BENCH_lifecycle.json)
 //
 // Records: "woodbury_update" / "woodbury_refactor" (extra: "workers", "k",
-// "solve_diff"), "coldstart_restore" / "coldstart_build" (extra: "workers",
-// "file_bytes"), "cache_zipf" (extra: "tenants", "draws", "hit_rate",
-// "spills", "spill_reloads", "evictions"), and "lifecycle_summary" (extra:
-// "woodbury_speedup", "coldstart_speedup", "hit_rate", "hw_threads").
+// "solve_diff"), "coldstart_build" (extra: "workers", "file_bytes"),
+// "coldstart_restore" (extra: "workers", "solve_diff", "load_gbps" = file
+// bytes / median restore time), "cache_zipf" (extra: "tenants", "draws",
+// "hit_rate", "spills", "spill_reloads", "evictions"), and
+// "lifecycle_summary" (extra: "woodbury_speedup", "coldstart_speedup",
+// "hit_rate", "hw_threads").
 //
 // Exit status is nonzero when
 //   * the Woodbury-updated solve is not >= 5x faster than the
@@ -209,7 +211,9 @@ ColdStartResult run_coldstart(const bem::FemBemProblem<double>& problem,
   report("coldstart_restore", n, restore_reps, out.restore_s,
          *std::min_element(t_restore.begin(), t_restore.end()),
          {{"workers", static_cast<double>(workers)},
-          {"solve_diff", out.solve_diff}});
+          {"solve_diff", out.solve_diff},
+          {"load_gbps",
+           static_cast<double>(out.file_bytes) / out.restore_s / 1e9}});
   return out;
 }
 

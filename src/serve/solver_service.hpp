@@ -153,9 +153,10 @@ class Session {
     return s;
   }
 
-  /// Cold-start from factors previously saved with save_factors():
-  /// mmap + validate + tile fill, no assembly and no factorization. The
-  /// restored session serves plain (non-refined) solves; `opts` supplies
+  /// Cold-start from factors previously saved with save_factors(): mmap,
+  /// then one verify-then-fill task per tile on this session's engine; no
+  /// assembly and no factorization. The restored session serves plain
+  /// (non-refined) solves; `opts` supplies
   /// the engine shape and cache knobs, while the factor kind (LU vs
   /// Cholesky) comes from the file. Throws hcham::Error on any validation
   /// failure, leaving no partially-constructed session behind.

@@ -1,6 +1,7 @@
 // Lifecycle properties:
 //  (1) factor-store round trips are BIT-exact across scalar types
-//      {double, float, complex<double>} x factor kinds {LU, Cholesky} —
+//      {double, float, complex<double>} x factor kinds {LU, Cholesky} x
+//      restore engines of {1, 2, 4} workers —
 //      serialization must never perturb factors, or replayed task graphs
 //      would diverge from the session that saved them;
 //  (2) Woodbury rank-k updated solves match a full-refactorization referee
@@ -105,20 +106,24 @@ void round_trip_bit_exact(bool cholesky, std::uint64_t seed) {
       (cholesky ? "_chol" : "_lu") + ".hfac";
   lifecycle::save_factors(
       m, cholesky ? FactorKind::Cholesky : FactorKind::Lu, path);
-  Engine other({.num_workers = 1});
-  auto loaded = lifecycle::load_factors<T>(other, path);
-  std::remove(path.c_str());
+  // The restore runs one task per tile: the result must not depend on how
+  // many workers fill the tiles.
+  for (const int workers : {1, 2, 4}) {
+    Engine other({.num_workers = workers});
+    auto loaded = lifecycle::load_factors<T>(other, path);
 
-  EXPECT_EQ(loaded.kind,
-            cholesky ? FactorKind::Cholesky : FactorKind::Lu);
-  EXPECT_EQ(loaded.matrix.structure_signature(), m.structure_signature());
-  const Matrix<T> after = loaded.matrix.to_dense_original();
-  ASSERT_EQ(after.size(), before.size());
-  EXPECT_EQ(std::memcmp(after.data(), before.data(),
-                        sizeof(T) * static_cast<std::size_t>(before.size())),
-            0)
-      << "round trip must be bit-exact (T bytes=" << sizeof(T)
-      << " cholesky=" << cholesky << ")";
+    EXPECT_EQ(loaded.kind,
+              cholesky ? FactorKind::Cholesky : FactorKind::Lu);
+    EXPECT_EQ(loaded.matrix.structure_signature(), m.structure_signature());
+    const Matrix<T> after = loaded.matrix.to_dense_original();
+    ASSERT_EQ(after.size(), before.size());
+    EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                          sizeof(T) * static_cast<std::size_t>(before.size())),
+              0)
+        << "round trip must be bit-exact (T bytes=" << sizeof(T)
+        << " cholesky=" << cholesky << " restore workers=" << workers << ")";
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FactorStoreRoundTrip, BitExactAcrossTypesAndKinds) {

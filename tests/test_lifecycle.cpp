@@ -1,5 +1,8 @@
 // Lifecycle subsystem tests: factor-store round trips and rejection of
 // truncated/corrupted/mismatched files (with no partial state escaping),
+// the format-v2 tile table and per-tile checksums (hostile extents, tile
+// and tree-block corruption, engine reuse after a failed restore, the
+// hash's known answer and single-word sensitivity),
 // Session save/restore cold-starts, Woodbury rank-k updated solves against
 // a dense referee (including sync and background rebase), and the bounded
 // session cache (LRU order, pinning under pressure, spill-reload,
@@ -7,14 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bem/testcase.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "core/tile_h.hpp"
 #include "lifecycle/factor_store.hpp"
 #include "lifecycle/session_cache.hpp"
@@ -76,6 +83,25 @@ void expect_error_containing(Fn&& fn, const std::string& needle) {
 struct TempFile {
   explicit TempFile(std::string p) : path(std::move(p)) {}
   ~TempFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+/// Scoped directory named after the running test, removed with its
+/// contents at scope exit, so tests never share files under ctest -j.
+struct TestDir {
+  TestDir() {
+    const ::testing::TestInfo* t =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path = std::string(t->test_suite_name()) + "." + t->name() + ".d";
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  TestDir(const TestDir&) = delete;
+  TestDir& operator=(const TestDir&) = delete;
+  ~TestDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
   std::string path;
 };
 
@@ -185,6 +211,259 @@ TEST(FactorStore, RejectsTruncatedCorruptedAndMismatchedFiles) {
     expect_error_containing(
         [&] { lifecycle::load_factors<double>(engine, f.path); },
         "corrupt tree block");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Factor store format v2: per-tile checksums, the tile table, and the hash.
+
+/// Where the store's pieces sit, read from a saved file's own words.
+struct StoreLayout {
+  std::size_t meta_end = 0;  ///< first byte after the metadata block
+  std::size_t table_at = 0;  ///< first tile-table entry
+  std::vector<lifecycle::detail::TileExtent> tiles;  ///< row-major
+};
+
+std::int64_t word_at(const std::vector<unsigned char>& f, std::size_t at) {
+  std::int64_t v = 0;
+  EXPECT_LE(at + sizeof v, f.size());
+  std::memcpy(&v, f.data() + at, sizeof v);
+  return v;
+}
+
+StoreLayout layout_of(const std::vector<unsigned char>& f) {
+  namespace d = lifecycle::detail;
+  StoreLayout l;
+  l.meta_end = d::kHeaderBytes +
+               static_cast<std::size_t>(word_at(f, d::kMetaBytesOffset));
+  const auto nt = static_cast<std::size_t>(word_at(f, d::kNumTilesOffset));
+  std::size_t at = d::kHeaderBytes;
+  at += 8 + static_cast<std::size_t>(word_at(f, at)) * 24;  // points
+  at += 8 + static_cast<std::size_t>(word_at(f, at)) * 8;   // permutation
+  at += 8 + static_cast<std::size_t>(word_at(f, at)) * 32;  // nodes
+  at += 8 + static_cast<std::size_t>(word_at(f, at)) * 8;   // tile roots
+  l.table_at = at;
+  for (std::size_t k = 0; k < nt * nt; ++k) {
+    const std::size_t e = at + k * d::kTileEntryBytes;
+    l.tiles.push_back({static_cast<std::uint64_t>(word_at(f, e)),
+                       static_cast<std::uint64_t>(word_at(f, e + 8)),
+                       static_cast<std::uint64_t>(word_at(f, e + 16))});
+  }
+  return l;
+}
+
+/// Overwrite tile-table entry `k` and re-seal the metadata hash, so the
+/// file passes the header checksum and only the table checks stand guard.
+void set_table_entry(std::vector<unsigned char>& f, const StoreLayout& l,
+                     std::size_t k,
+                     const lifecycle::detail::TileExtent& e) {
+  namespace d = lifecycle::detail;
+  std::memcpy(f.data() + l.table_at + k * d::kTileEntryBytes, &e, sizeof e);
+  const std::uint64_t h =
+      hash_bytes(f.data() + d::kHeaderBytes, l.meta_end - d::kHeaderBytes);
+  std::memcpy(f.data() + d::kMetaHashOffset, &h, sizeof h);
+}
+
+/// A factorized n = 240, nb = 64 operator saved to `path` (4 x 4 tiles).
+Matrix<double> save_test_store(const std::string& path) {
+  FemBemProblem<double> problem(240, 1.0, 8.0);
+  auto gen = [&problem](index_t i, index_t j) { return problem.entry(i, j); };
+  Engine engine({.num_workers = 2});
+  auto m = TileHMatrix<double>::build(engine, problem.points(), gen,
+                                      make_options(64, 1e-8));
+  m.factorize(engine);
+  lifecycle::save_factors(m, FactorKind::Lu, path);
+  return m.to_dense_original();
+}
+
+bool bit_equal(const Matrix<double>& a, const Matrix<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<std::size_t>(a.size())) ==
+             0;
+}
+
+TEST(FactorStoreV2, LayoutIsAlignedContiguousAndCoversTheFile) {
+  TempFile f("lifecycle_v2_layout.hfac");
+  save_test_store(f.path);
+  const std::vector<unsigned char> good = read_file(f.path);
+  const StoreLayout l = layout_of(good);
+  ASSERT_EQ(l.tiles.size(), 16u);
+  EXPECT_EQ(l.meta_end % 64, 0u);
+  EXPECT_LT(l.meta_end - (l.table_at + 16 * lifecycle::detail::kTileEntryBytes),
+            64u);
+  std::uint64_t expect = l.meta_end;
+  for (const auto& e : l.tiles) {
+    EXPECT_EQ(e.offset, expect);
+    EXPECT_EQ(e.offset % 64, 0u);
+    EXPECT_EQ(e.bytes % 64, 0u);
+    EXPECT_EQ(hash_bytes(good.data() + e.offset, e.bytes), e.hash);
+    expect = e.offset + e.bytes;
+  }
+  EXPECT_EQ(expect, good.size());
+}
+
+TEST(FactorStoreV2, FlippedByteInAnyTileFailsItsChecksum) {
+  TempFile f("lifecycle_v2_tile_flip.hfac");
+  save_test_store(f.path);
+  const std::vector<unsigned char> good = read_file(f.path);
+  const StoreLayout l = layout_of(good);
+  Engine engine({.num_workers = 2});
+  for (const std::size_t k : {std::size_t{0}, l.tiles.size() / 2,
+                              l.tiles.size() - 1}) {
+    std::vector<unsigned char> bad = good;
+    bad[l.tiles[k].offset + l.tiles[k].bytes / 2] ^= 0x10;
+    write_file(f.path, bad);
+    expect_error_containing(
+        [&] { lifecycle::load_factors<double>(engine, f.path); }, "checksum");
+  }
+}
+
+TEST(FactorStoreV2, CorruptedPointCoordinateFailsChecksum) {
+  TempFile f("lifecycle_v2_point.hfac");
+  save_test_store(f.path);
+  std::vector<unsigned char> bad = read_file(f.path);
+  // Point 0's x: the word after the point count, just past the header.
+  // The coordinate stays finite and the tree stays valid, so only the
+  // metadata checksum can notice.
+  bad[lifecycle::detail::kHeaderBytes + 8 + 3] ^= 0x40;
+  write_file(f.path, bad);
+  Engine engine({.num_workers = 1});
+  expect_error_containing(
+      [&] { lifecycle::load_factors<double>(engine, f.path); }, "checksum");
+}
+
+TEST(FactorStoreV2, HostileTileTableFailsBeforeAnyTileIsRestored) {
+  TempFile f("lifecycle_v2_table.hfac");
+  save_test_store(f.path);
+  const std::vector<unsigned char> good = read_file(f.path);
+  const StoreLayout l = layout_of(good);
+  const std::size_t last = l.tiles.size() - 1;
+  Engine engine({.num_workers = 2, .record_trace = true});
+  const auto expect_rejected = [&](std::vector<unsigned char> bad,
+                                   const std::string& needle) {
+    write_file(f.path, bad);
+    expect_error_containing(
+        [&] { lifecycle::load_factors<double>(engine, f.path); }, needle);
+    // Not one restore task ran: no tile was allocated from the table.
+    EXPECT_TRUE(engine.trace().empty()) << needle;
+  };
+  {  // Misaligned: shifted by one word.
+    std::vector<unsigned char> bad = good;
+    auto e = l.tiles[1];
+    e.offset += 8;
+    set_table_entry(bad, l, 1, e);
+    expect_rejected(bad, "misaligned");
+  }
+  {  // Overlapping: starts one line inside its predecessor.
+    std::vector<unsigned char> bad = good;
+    auto e = l.tiles[1];
+    e.offset -= 64;
+    set_table_entry(bad, l, 1, e);
+    expect_rejected(bad, "overlap");
+  }
+  {  // Past the end of the file.
+    std::vector<unsigned char> bad = good;
+    auto e = l.tiles[last];
+    e.bytes += 64;
+    set_table_entry(bad, l, last, e);
+    expect_rejected(bad, "past the end");
+  }
+  {  // A size that would wrap offset + bytes.
+    std::vector<unsigned char> bad = good;
+    auto e = l.tiles[last];
+    e.bytes = ~std::uint64_t{63};
+    set_table_entry(bad, l, last, e);
+    expect_rejected(bad, "past the end");
+  }
+  {  // Not ending at the end of the file: one extra line after the last tile.
+    std::vector<unsigned char> bad = good;
+    bad.resize(bad.size() + 64, 0);
+    expect_rejected(bad, "trailing bytes");
+  }
+  {  // Last record shortened: the file holds bytes no tile covers.
+    std::vector<unsigned char> bad = good;
+    auto e = l.tiles[last];
+    ASSERT_GE(e.bytes, 128u);
+    e.bytes -= 64;
+    set_table_entry(bad, l, last, e);
+    expect_rejected(bad, "trailing bytes");
+  }
+}
+
+TEST(FactorStoreV2, VersionOneStoreIsUnsupported) {
+  TempFile f("lifecycle_v2_version.hfac");
+  save_test_store(f.path);
+  std::vector<unsigned char> bad = read_file(f.path);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bad.data() + lifecycle::detail::kVersionOffset, &v1, sizeof v1);
+  write_file(f.path, bad);
+  Engine engine({.num_workers = 1});
+  expect_error_containing(
+      [&] { lifecycle::load_factors<double>(engine, f.path); },
+      "unsupported format version");
+}
+
+TEST(FactorStoreV2, HostileHeaderSizesAreRejected) {
+  TempFile f("lifecycle_v2_header.hfac");
+  save_test_store(f.path);
+  std::vector<unsigned char> bad = read_file(f.path);
+  // n and the tile size (the two header words before the tile count) at
+  // INT64_MAX: rounding n up to whole tiles must not overflow on the way
+  // to rejecting them.
+  const std::int64_t huge = INT64_MAX;
+  std::memcpy(bad.data() + lifecycle::detail::kNumTilesOffset - 16, &huge,
+              sizeof huge);
+  std::memcpy(bad.data() + lifecycle::detail::kNumTilesOffset - 8, &huge,
+              sizeof huge);
+  write_file(f.path, bad);
+  Engine engine({.num_workers = 1});
+  expect_error_containing(
+      [&] { lifecycle::load_factors<double>(engine, f.path); },
+      "corrupt header");
+}
+
+TEST(FactorStoreV2, EngineStaysUsableAfterAFailedTileRestore) {
+  TempFile f("lifecycle_v2_reuse.hfac");
+  const Matrix<double> before = save_test_store(f.path);
+  const std::vector<unsigned char> good = read_file(f.path);
+  const StoreLayout l = layout_of(good);
+  std::vector<unsigned char> bad = good;
+  bad[l.tiles[l.tiles.size() / 2].offset + 8] ^= 0x01;
+  Engine engine({.num_workers = 2, .record_trace = true});
+  write_file(f.path, bad);
+  expect_error_containing(
+      [&] { lifecycle::load_factors<double>(engine, f.path); }, "checksum");
+  // The failure surfaced only after every restore task had been drained.
+  EXPECT_EQ(engine.trace().size(), l.tiles.size());
+  write_file(f.path, good);
+  auto loaded = lifecycle::load_factors<double>(engine, f.path);
+  EXPECT_TRUE(bit_equal(loaded.matrix.to_dense_original(), before));
+}
+
+TEST(FactorStoreV2, HashKnownAnswerPinsTheFormat) {
+  // 64 + 64 + 27 bytes: two full stripes and a tail.
+  std::vector<unsigned char> buf(155);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  EXPECT_EQ(hash_bytes(buf.data(), buf.size()), 0xd5f0928452a6fc81ull);
+  EXPECT_EQ(hash_bytes(buf.data(), 64), 0x541241441d4401e3ull);
+  EXPECT_EQ(hash_bytes(buf.data(), 0), 0x25e94f23843bf9b8ull);
+}
+
+TEST(FactorStoreV2, HashSeesEverySingleWordChange) {
+  std::vector<std::uint64_t> words(512);  // 4 KiB
+  Rng rng(2024);
+  for (std::uint64_t& w : words) w = rng.next_u64();
+  const std::uint64_t base = hash_bytes(words.data(), 4096);
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    for (const std::uint64_t delta :
+         {std::uint64_t{1}, std::uint64_t{1} << 63, rng.next_u64() | 1}) {
+      std::vector<std::uint64_t> changed = words;
+      changed[k] ^= delta;
+      EXPECT_NE(hash_bytes(changed.data(), 4096), base)
+          << "word " << k << " delta " << delta;
+    }
   }
 }
 
@@ -415,10 +694,9 @@ TEST(SessionCache, PinnedEntriesSurvivePressure) {
 }
 
 TEST(SessionCache, SpillToDiskAndReload) {
-  TempFile spill_a("a.hfac");  // sanitize(id) + .hfac in cwd
-  TempFile spill_b("b.hfac");  // b spills in turn when a reloads
+  TestDir spill;  // holds sanitize(id) + .hfac; b spills when a reloads
   SessionCache<double> cache(
-      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = "."});
+      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = spill.path});
   const auto b = Matrix<double>::random(kCacheN, 1, 9);
   Matrix<double> x_fresh = Matrix<double>::from_view(b.cview());
   {
@@ -475,16 +753,15 @@ TEST(SessionCache, FailedSpillDegradesToDiscard) {
 }
 
 TEST(SessionCache, BrokenSpillFileFallsBackToBuilder) {
-  TempFile spill_a("a.hfac");
-  TempFile spill_b("b.hfac");  // b spills when a's rebuild re-evicts it
+  TestDir spill;  // b spills when a's rebuild re-evicts it
   SessionCache<double> cache(
-      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = "."});
+      {.max_bytes = one_session_bytes() * 3 / 2, .spill_dir = spill.path});
   { auto p = cache.get_or_build("a", [] { return build_cache_session(6.0); }); }
   { auto p = cache.get_or_build("b", [] { return build_cache_session(8.0); }); }
   ASSERT_TRUE(cache.spilled("a"));
   // Sabotage the spill file: the reload must drop the spill record and
   // fall back to the builder, not leave "a" permanently unserveable.
-  write_file(spill_a.path, {0xde, 0xad, 0xbe, 0xef});
+  write_file(spill.path + "/a.hfac", {0xde, 0xad, 0xbe, 0xef});
   bool rebuilt = false;
   {
     auto p = cache.get_or_build("a", [&rebuilt] {
