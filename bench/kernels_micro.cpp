@@ -1,7 +1,8 @@
 // Micro-benchmarks of the dense substrate (the MKL replacement): the packed
 // register-tiled GEMM engine vs the reference kernel across sizes, shapes,
 // op combinations, and scalar types, plus TRSM / GETRF / QR / ACA riding on
-// the engine, and the Rk truncation (QR + rank-revealing SVD) of accumulated
+// the engine, and the Rk truncation (QR + rank-revealing SVD) and the
+// accumulator compaction (QR + pivoted QR of the core) of accumulated
 // blocks. Emits BENCH_kernels.json (schema: EXPERIMENTS.md) and prints a
 // human-readable table.
 //
@@ -93,25 +94,23 @@ T kernel(const std::array<double, 3>& x, const std::array<double, 3>& y) {
   }
 }
 
-/// Truncation of an accumulated 256 x 256 Rk block of core width `k`: the
-/// sum of k / 16 H-LU-style updates K(X, Z_t) K(Z_t, Y), each exact rank 16
-/// through an intermediate cluster Z_t, between well-separated clusters X
-/// and Y. Its spectrum decays like a BEM kernel's, and like the flushes of
-/// the factorization most of the core is numerically redundant. Reports ms
-/// per truncate(eps = 1e-4) and the Jacobi sweeps and revealed columns of
-/// one call.
+/// An accumulated m x m Rk block of core width `k`: the sum of ceil(k / 16)
+/// H-LU-style updates K(X, Z_t) K(Z_t, Y), each of rank 16 (the last one
+/// k mod 16 when that is nonzero) through an intermediate cluster Z_t,
+/// between well-separated clusters X and Y. Its spectrum decays like a BEM
+/// kernel's, and like the recompressions of the factorization most of the
+/// core is numerically redundant.
 template <typename T>
-void truncation_row(const char* tag, index_t k, int reps) {
-  const index_t m = 256;
+rk::RkMatrix<T> accumulated_block(index_t m, index_t k) {
   const index_t w = 16;
   Rng rng(11);
   const auto xs = cube_points(m, {0, 0, 0}, rng);
   const auto ys = cube_points(m, {3, 0, 0}, rng);
   la::Matrix<T> u(m, k), v(m, k);
-  for (index_t t = 0; t < k / w; ++t) {
+  for (index_t t = 0; t * w < k; ++t) {
     const auto zs =
         cube_points(w, {1.5, static_cast<double>(t % 4) - 1.5, 1.0}, rng);
-    for (index_t l = 0; l < w; ++l)
+    for (index_t l = 0; l < w && t * w + l < k; ++l)
       for (index_t i = 0; i < m; ++i) {
         u(i, t * w + l) = kernel<T>(xs[static_cast<std::size_t>(i)],
                                     zs[static_cast<std::size_t>(l)]);
@@ -119,7 +118,15 @@ void truncation_row(const char* tag, index_t k, int reps) {
                                             ys[static_cast<std::size_t>(i)]));
       }
   }
-  const rk::RkMatrix<T> block(std::move(u), std::move(v));
+  return rk::RkMatrix<T>(std::move(u), std::move(v));
+}
+
+/// Truncation of an accumulated 256 x 256 block of core width `k`. Reports
+/// ms per truncate(eps = 1e-4) and the Jacobi sweeps and revealed columns
+/// of one call.
+template <typename T>
+void truncation_row(const char* tag, index_t k, int reps) {
+  const rk::RkMatrix<T> block = accumulated_block<T>(256, k);
   const rk::TruncationParams params{1e-4, -1};
 
   const ArithCounterSnapshot c0 = snapshot_arith_counters();
@@ -143,6 +150,34 @@ void truncation_row(const char* tag, index_t k, int reps) {
               "revealed %g  rank %ld\n",
               rec.name.c_str(), static_cast<long>(k), reps,
               rec.median_s * 1e3, rec.extra[1].second, rec.extra[2].second,
+              static_cast<long>(rank));
+  g_json.add(std::move(rec));
+}
+
+/// Accumulator compaction (compact_tail at eps = 1e-4, no SVD) of a
+/// 64 x 64 block with a 43-column pending tail: the mean compaction shape
+/// of the BEM factorizations. Reports ms per compaction and the kept rank.
+template <typename T>
+void compaction_row(const char* tag, int reps) {
+  const index_t m = 64;
+  const index_t kp = 43;
+  const rk::RkMatrix<T> block = accumulated_block<T>(m, kp);
+  const rk::TruncationParams params{1e-4, -1};
+  rk::RkMatrix<T> once = block;
+  const index_t rank = rk::compact_tail(once, 0, params);
+  bench::BenchRecord rec = bench::bench_time(
+      std::string("compact_") + tag, kp, 0.0, reps, [&] {
+        rk::RkMatrix<T> a = block;
+        if (rk::compact_tail(a, 0, params) != rank) std::abort();
+      });
+  rec.extra = {
+      {"ms_per_compact", rec.median_s * 1e3},
+      {"m", static_cast<double>(m)},
+      {"rank", static_cast<double>(rank)},
+  };
+  std::printf("%-24s kp=%-5ld reps=%d  %.4f ms/compact  m=n=%ld  rank %ld\n",
+              rec.name.c_str(), static_cast<long>(kp), reps,
+              rec.median_s * 1e3, static_cast<long>(m),
               static_cast<long>(rank));
   g_json.add(std::move(rec));
 }
@@ -256,6 +291,9 @@ int main(int argc, char** argv) {
     truncation_row<double>("d", k, reps * 4);
     truncation_row<std::complex<double>>("z", k, reps * 4);
   }
+  // Accumulator compaction at the factorization's dominant shape.
+  compaction_row<double>("d", reps * 20);
+  compaction_row<std::complex<double>>("z", reps * 20);
 
   if (!g_json.write(out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());

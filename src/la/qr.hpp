@@ -64,12 +64,12 @@ void apply_reflector(const T* vtail, index_t m, T tau, bool conj_tau,
   const T t = conj_tau ? conj_if(tau) : tau;
   for (index_t j = 0; j < c.cols(); ++j) {
     T* cj = c.col(j);
-    // w = v^H * C(:, j)
+    // w = t * v^H C(:, j), then C(:, j) -= v w.
     T w = cj[0];
-    for (index_t i = 1; i < m; ++i) w += conj_if(vtail[i - 1]) * cj[i];
+    if (m > 1) w += dot_lanes<true>(m - 1, vtail, cj + 1);
     w *= t;
     cj[0] -= w;
-    for (index_t i = 1; i < m; ++i) cj[i] -= vtail[i - 1] * w;
+    if (m > 1) axpy_n(m - 1, -w, vtail, cj + 1);
   }
 }
 
@@ -105,9 +105,8 @@ void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
     // t(0:i, i) = -tau_i * V(i:m, 0:i)^H * v_i, with v_i = (1; tail).
     for (index_t j = 0; j < i; ++j) {
       T acc = conj_if(v(i, j));  // v_i(i) = 1 implicit
-      const T* vj = v.col(j);
-      const T* vi = v.col(i);
-      for (index_t l = i + 1; l < m; ++l) acc += conj_if(vj[l]) * vi[l];
+      if (i + 1 < m)
+        acc += dot_lanes<true>(m - i - 1, v.col(j) + i + 1, v.col(i) + i + 1);
       t(j, i) = -ti * acc;
     }
     // t(0:i, i) = T(0:i, 0:i) * t(0:i, i), an upper-triangular matvec done
@@ -197,12 +196,40 @@ void orgqr_into(ConstMatrixView<T> a, const T* tau, index_t k,
   }
 }
 
+/// Apply the thin Q of geqrf from the left without forming it (xORMQR,
+/// left, no transpose): C <- H(0) H(1) ... H(k-1) C, with a the factored
+/// m x n matrix (reflectors below the diagonal), k <= min(m, n), and C
+/// m x q. For C = [X; 0] with X k x q this is Q(:, 0:k) X at 4 m k q flops,
+/// where forming Q first costs 2 m k^2 on its own.
+template <typename T>
+void ormqr_left(ConstMatrixView<T> a, const T* tau, index_t k,
+                MatrixView<T> c) {
+  const index_t m = a.rows();
+  HCHAM_CHECK(k <= a.cols() && k <= m);
+  HCHAM_CHECK(c.rows() == m);
+  for (index_t i = k - 1; i >= 0; --i) {
+    detail::apply_reflector(m - i > 1 ? &a(i + 1, i) : nullptr, m - i, tau[i],
+                            /*conj_tau=*/false,
+                            c.block(i, 0, m - i, c.cols()));
+  }
+}
+
 /// Form the thin Q factor (m x k) from the output of geqrf.
 template <typename T>
 Matrix<T> orgqr(ConstMatrixView<T> a, const T* tau, index_t k) {
   Matrix<T> q(a.rows(), k);
   orgqr_into(a, tau, k, q.view());
   return q;
+}
+
+/// r <- the k x n upper trapezoid of a factored matrix (the R of geqrf,
+/// k = r.rows() <= a.rows()), with the reflectors below it zeroed out.
+template <typename T>
+void copy_upper_trapezoid(ConstMatrixView<T> a, MatrixView<T> r) {
+  const index_t k = r.rows();
+  HCHAM_CHECK(k <= a.rows() && r.cols() == a.cols());
+  for (index_t j = 0; j < r.cols(); ++j)
+    for (index_t i = 0; i < k; ++i) r(i, j) = i <= j ? a(i, j) : T{};
 }
 
 /// Thin QR into caller-provided storage: A (m x n) -> Q (m x k), R (k x n,
@@ -221,10 +248,7 @@ void qr_thin_ws(ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r) {
   T* tau = ws.alloc<T>(k);
   geqrf(work, tau);
   orgqr_into(ConstMatrixView<T>(work), tau, k, q);
-  r.set_zero();
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i <= (j < k - 1 ? j : k - 1); ++i)
-      r(i, j) = work(i, j);
+  copy_upper_trapezoid(ConstMatrixView<T>(work), r);
 }
 
 /// qr_pivoted_rank below, overwriting its input `w` with the residual
@@ -277,10 +301,9 @@ index_t qr_pivoted_rank_inplace(MatrixView<T> w, MatrixView<T> q,
     // One re-orthogonalization pass keeps MGS honest on graded columns.
     for (index_t l = 0; l < rank; ++l) {
       const T* ql = q.col(l);
-      T cl{};
-      for (index_t i = 0; i < m; ++i) cl += conj_if(ql[i]) * wp[i];
+      const T cl = dotc(m, ql, wp);
       rr(l, p) += cl;
-      for (index_t i = 0; i < m; ++i) wp[i] -= ql[i] * cl;
+      axpy_n(m, -cl, ql, wp);
     }
     const R pn = nrm2(m, wp);
     used[p] = 1;
@@ -292,15 +315,10 @@ index_t qr_pivoted_rank_inplace(MatrixView<T> w, MatrixView<T> q,
     for (index_t j = 0; j < n; ++j) {
       if (used[j]) continue;
       T* wj = w.col(j);
-      T cj{};
-      for (index_t i = 0; i < m; ++i) cj += conj_if(qk[i]) * wj[i];
+      const T cj = dotc(m, qk, wj);
       rr(rank, j) = cj;
-      R sq{};
-      for (index_t i = 0; i < m; ++i) {
-        wj[i] -= qk[i] * cj;
-        sq += abs_sq(wj[i]);
-      }
-      nsq[j] = sq;
+      axpy_n(m, -cj, qk, wj);
+      nsq[j] = norm_fro_sq(m, wj);
     }
     ++rank;
   }

@@ -17,6 +17,7 @@
 #include "common/scalar.hpp"
 #include "la/blas_defs.hpp"
 #include "la/gemm.hpp"
+#include "la/norms.hpp"
 #include "la/view.hpp"
 
 namespace hcham::la {
@@ -40,17 +41,13 @@ void trsm_left_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
         for (index_t k = 0; k < m; ++k) {
           if (!unit) bj[k] /= a(k, k);
           const T xk = bj[k];
-          if (xk == T{}) continue;
-          const T* ak = a.col(k);
-          for (index_t i = k + 1; i < m; ++i) bj[i] -= ak[i] * xk;
+          if (xk != T{}) axpy_n(m - k - 1, -xk, a.col(k) + k + 1, bj + k + 1);
         }
       } else {
         for (index_t k = m - 1; k >= 0; --k) {
           if (!unit) bj[k] /= a(k, k);
           const T xk = bj[k];
-          if (xk == T{}) continue;
-          const T* ak = a.col(k);
-          for (index_t i = 0; i < k; ++i) bj[i] -= ak[i] * xk;
+          if (xk != T{}) axpy_n(k, -xk, a.col(k), bj);
         }
       }
     }
@@ -58,29 +55,21 @@ void trsm_left_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
   }
 
   // op(A) with op in {T, C}: the reduction runs down a column of A, which is
-  // contiguous. A lower-triangular transposed system solves backward.
+  // contiguous, as one lane dot product. A lower-triangular transposed
+  // system solves backward.
   const bool conj = (op == Op::ConjTrans);
   const bool backward = (uplo == Uplo::Lower);
   for (index_t j = 0; j < n; ++j) {
     T* bj = b.col(j);
-    if (backward) {
-      for (index_t i = m - 1; i >= 0; --i) {
-        const T* ai = a.col(i);
-        T acc = bj[i];
-        for (index_t l = i + 1; l < m; ++l)
-          acc -= (conj ? conj_if(ai[l]) : ai[l]) * bj[l];
-        if (!unit) acc /= (conj ? conj_if(ai[i]) : ai[i]);
-        bj[i] = acc;
-      }
-    } else {
-      for (index_t i = 0; i < m; ++i) {
-        const T* ai = a.col(i);
-        T acc = bj[i];
-        for (index_t l = 0; l < i; ++l)
-          acc -= (conj ? conj_if(ai[l]) : ai[l]) * bj[l];
-        if (!unit) acc /= (conj ? conj_if(ai[i]) : ai[i]);
-        bj[i] = acc;
-      }
+    for (index_t s = 0; s < m; ++s) {
+      const index_t i = backward ? m - 1 - s : s;
+      const T* ai = a.col(i);
+      // The solved entries: below i when solving backward, above it else.
+      const index_t lo = backward ? i + 1 : 0;
+      const index_t len = backward ? m - i - 1 : i;
+      T acc = bj[i] - dot_lanes(conj, len, ai + lo, bj + lo);
+      if (!unit) acc /= (conj ? conj_if(ai[i]) : ai[i]);
+      bj[i] = acc;
     }
   }
 }
@@ -113,9 +102,7 @@ void trsm_right_unblocked(Uplo uplo, Op op, Diag diag, T alpha,
     const index_t hi = m_lower ? n : k;
     for (index_t l = lo; l < hi; ++l) {
       const T mlk = mat(l, k);
-      if (mlk == T{}) continue;
-      const T* bl = b.col(l);
-      for (index_t i = 0; i < m; ++i) bk[i] -= bl[i] * mlk;
+      if (mlk != T{}) axpy_n(m, -mlk, b.col(l), bk);
     }
     if (!unit) {
       const T d = mat(k, k);

@@ -6,12 +6,15 @@
 // pivoted QR, then Jacobi on the revealed columns only), and keep the
 // singular triplets above the relative tolerance (and below the rank cap).
 // Accumulator compaction shares the same steps but stops after an
-// eps-level pivoted QR of the core (detail::recompress). Rounded addition
-// concatenates factors and truncates; the concatenation is exact, so the
-// lazy accumulator (accumulator.hpp) can defer the truncate across many
-// additions without losing accuracy. All intermediate factors here come
-// from the thread's workspace arena (workspace.hpp), so steady-state
-// truncations allocate only for the final factors.
+// eps-level pivoted QR of the core (detail::recompress). Qu and Qv are never
+// formed: they stay Householder reflectors and are applied to the r kept
+// columns only, since the kept rank is typically a tenth of the core width
+// (DESIGN.md section 9). Rounded addition concatenates factors and
+// truncates; the concatenation is exact, so the lazy accumulator
+// (accumulator.hpp) can defer the truncate across many additions without
+// losing accuracy. All intermediate factors here come from the thread's
+// workspace arena (workspace.hpp), so steady-state truncations allocate
+// only for the final factors.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +22,6 @@
 #include <vector>
 
 #include "common/counters.hpp"
-#include "la/batch.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
 #include "la/workspace.hpp"
@@ -44,7 +46,7 @@ namespace detail {
 
 /// Recompress the factor columns [from, rank) of `c` in place: QR both
 /// factor slices (U = Qu Ru, V = Qv Rv), reveal the rank of the small core
-/// Ru Rv^H, and multiply the kept part back onto Qu and Qv. A flush
+/// Ru Rv^H, and apply Qu and Qv, as reflectors, to the kept part. A flush
 /// (`flush` = true, from = 0) runs the SVD of the core and keeps the
 /// triplets above the relative tolerance -- the accuracy contract -- and
 /// marks the block compressed. A compaction stops after the eps-level
@@ -62,19 +64,20 @@ index_t recompress(RkMatrix<T>& c, index_t from, const TruncationParams& params,
   const index_t kv = std::min(n, kp);
 
   la::WorkspaceScope ws;
-  la::MatrixView<T> qu = ws.matrix<T>(m, ku);
+  // Both slices are factored in place in the arena: R in the upper
+  // trapezoid, Q as the reflectors below it.
+  la::MatrixView<T> fu = ws.matrix<T>(m, kp);
+  la::MatrixView<T> fv = ws.matrix<T>(n, kp);
+  la::copy(c.u().cview().block(0, from, m, kp), fu);
+  la::copy(c.v().cview().block(0, from, n, kp), fv);
+  T* tau_u = ws.alloc<T>(ku);
+  T* tau_v = ws.alloc<T>(kv);
+  la::geqrf(fu, tau_u);
+  la::geqrf(fv, tau_v);
   la::MatrixView<T> ru = ws.matrix<T>(ku, kp);
-  la::MatrixView<T> qv = ws.matrix<T>(n, kv);
   la::MatrixView<T> rv = ws.matrix<T>(kv, kp);
-  // The U- and V-factor QRs are independent: collect both as descriptors
-  // and run them as one bucket (la/batch.hpp) — the hook a batched QR
-  // backend slots into.
-  {
-    la::QrStream<T> qrs;
-    qrs.push(c.u().cview().block(0, from, m, kp), qu, ru);
-    qrs.push(c.v().cview().block(0, from, n, kp), qv, rv);
-    qrs.flush();
-  }
+  la::copy_upper_trapezoid(la::ConstMatrixView<T>(fu), ru);
+  la::copy_upper_trapezoid(la::ConstMatrixView<T>(fv), rv);
 
   la::MatrixView<T> core = ws.matrix<T>(ku, kv);
   la::gemm(la::Op::NoTrans, la::Op::ConjTrans, T{1}, la::ConstMatrixView<T>(ru),
@@ -107,11 +110,15 @@ index_t recompress(RkMatrix<T>& c, index_t from, const TruncationParams& params,
     return 0;
   }
 
+  // nu = Qu [lhs(:, 0:r); 0] and nv = Qv [rhs(:, 0:r); 0]: 4 m kp r flops
+  // through the reflectors, where forming Qu alone would cost 2 m kp^2.
   la::Matrix<T> nu(m, r), nv(n, r);
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qu),
-           la::ConstMatrixView<T>(lhs).block(0, 0, ku, r), T{}, nu.view());
-  la::gemm(la::Op::NoTrans, la::Op::NoTrans, T{1}, la::ConstMatrixView<T>(qv),
-           la::ConstMatrixView<T>(rhs).block(0, 0, kv, r), T{}, nv.view());
+  la::copy(la::ConstMatrixView<T>(lhs).block(0, 0, ku, r),
+           nu.view().block(0, 0, ku, r));
+  la::copy(la::ConstMatrixView<T>(rhs).block(0, 0, kv, r),
+           nv.view().block(0, 0, kv, r));
+  la::ormqr_left(la::ConstMatrixView<T>(fu), tau_u, ku, nu.view());
+  la::ormqr_left(la::ConstMatrixView<T>(fv), tau_v, kv, nv.view());
   if (flush)
     c.set_factors(std::move(nu), std::move(nv));
   else

@@ -1,6 +1,9 @@
-// Householder QR tests: reconstruction, orthogonality, shapes, complex case.
+// Householder QR tests: reconstruction, orthogonality, shapes, complex case,
+// and the implicit-Q apply (ormqr_left) against the explicit Q of orgqr.
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <limits>
 #include <vector>
 
 #include "la/la.hpp"
@@ -90,6 +93,51 @@ TEST(Qr, GeqrfRDiagonalRealForComplexInput) {
   std::vector<zdouble> tau(8);
   la::geqrf(a.view(), tau.data());
   for (index_t j = 0; j < 8; ++j) EXPECT_NEAR(a(j, j).imag(), 0.0, 1e-14);
+}
+
+/// ormqr_left(geqrf(A)) [X; 0] against orgqr's explicit Q times X, for
+/// A m x n and k reflectors. With `zero_tau` one reflector is made the
+/// identity (tau = 0), the branch apply_reflector skips.
+template <typename T>
+void check_ormqr(index_t m, index_t n, index_t k, index_t q, bool zero_tau,
+                 std::uint64_t seed) {
+  using R = real_t<T>;
+  auto a = Matrix<T>::random(m, n, seed);
+  std::vector<T> tau(static_cast<std::size_t>(std::min(m, n)));
+  la::geqrf(a.view(), tau.data());
+  if (zero_tau) tau[static_cast<std::size_t>(k / 2)] = T{};
+  const Matrix<T> qk = la::orgqr<T>(a.cview(), tau.data(), k);
+  auto x = Matrix<T>::random(k, q, seed + 1);
+
+  Matrix<T> expect(m, q);
+  la::gemm(Op::NoTrans, Op::NoTrans, T{1}, qk.cview(), x.cview(), T{},
+           expect.view());
+  Matrix<T> c(m, q);  // [X; 0]
+  la::copy(x.cview(), c.view().block(0, 0, k, q));
+  la::ormqr_left<T>(a.cview(), tau.data(), k, c.view());
+  const double tol = 100.0 * static_cast<double>(m) *
+                     static_cast<double>(std::numeric_limits<R>::epsilon());
+  EXPECT_LT(rel_diff<T>(c.cview(), expect.cview()), tol)
+      << precision_tag<T>() << " m=" << m << " n=" << n << " k=" << k
+      << " zero_tau=" << zero_tau;
+}
+
+template <typename T>
+void check_ormqr_shapes(std::uint64_t seed) {
+  check_ormqr<T>(30, 12, 12, 3, false, seed);      // k < m, all reflectors
+  check_ormqr<T>(30, 12, 7, 4, false, seed + 10);  // k < n
+  check_ormqr<T>(16, 16, 16, 5, false, seed + 20);  // k = m
+  check_ormqr<T>(9, 14, 9, 2, false, seed + 30);   // wide: k = m < n
+  check_ormqr<T>(1, 1, 1, 1, false, seed + 40);
+  check_ormqr<T>(30, 12, 12, 3, true, seed + 50);
+  check_ormqr<T>(16, 16, 16, 5, true, seed + 60);
+}
+
+TEST(Ormqr, MatchesExplicitQ) {
+  check_ormqr_shapes<double>(100);
+  check_ormqr_shapes<zdouble>(200);
+  check_ormqr_shapes<float>(300);
+  check_ormqr_shapes<std::complex<float>>(400);
 }
 
 }  // namespace
