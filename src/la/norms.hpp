@@ -149,16 +149,23 @@ real_t<T> norm_fro_sq(index_t n, const T* x) {
   return detail::dot_real(len, xs, xs);
 }
 
-/// Frobenius norm with overflow-safe scaling.
+/// Frobenius norm with overflow-safe scaling. An infinite entry makes the
+/// norm infinite unless a NaN is present, which propagates (LAPACK xNRM2);
+/// infinities are set aside rather than scaled, since Inf / Inf is NaN.
 template <typename T>
 real_t<T> norm_fro(ConstMatrixView<T> a) {
   using R = real_t<T>;
   R scale{};
   R ssq{1};
+  bool has_inf = false;
   for (index_t j = 0; j < a.cols(); ++j) {
     for (index_t i = 0; i < a.rows(); ++i) {
       const R v = abs_val(a(i, j));
       if (v == R{}) continue;
+      if (std::isinf(v)) {
+        has_inf = true;
+        continue;
+      }
       if (scale < v) {
         ssq = R{1} + ssq * (scale / v) * (scale / v);
         scale = v;
@@ -167,6 +174,7 @@ real_t<T> norm_fro(ConstMatrixView<T> a) {
       }
     }
   }
+  if (has_inf && !std::isnan(ssq)) return std::numeric_limits<R>::infinity();
   return scale * std::sqrt(ssq);
 }
 

@@ -21,20 +21,18 @@ namespace hcham::rt {
 
 namespace {
 
+/// History record of one submitted task, kept for graph() / to_dot() and
+/// the simulator. The closure and the collapsed accesses live only in the
+/// epoch tables (Impl::fns, Impl::live) and are dropped when the epoch
+/// retires.
 struct Task {
-  TaskId id = -1;
-  std::function<void()> fn;
   std::string label;
   int priority = 0;
   std::vector<TaskId> successors;
-  index_t num_deps = 0;  ///< static in-degree (for graph export)
-  index_t pending = 0;   ///< unresolved dependencies (runtime countdown)
+  index_t num_deps = 0;  ///< static in-degree
   double duration_s = 0.0;
-  bool done = false;
   TaskId last_edge_to = -1;  ///< dedupe mark: all edges to one task are
                              ///< added within a single submit() call
-  std::vector<Access> accesses;  ///< per-handle strongest mode; only
-                                 ///< populated under check_conflicts
 };
 
 struct HandleState {
@@ -44,29 +42,16 @@ struct HandleState {
   std::vector<TaskId> readers_since_write;
 };
 
-/// Priority order: higher priority first, then older task first.
-struct PrioLess {
-  const std::vector<Task>* tasks;
-  bool operator()(TaskId a, TaskId b) const {
-    const Task& ta = (*tasks)[static_cast<std::size_t>(a)];
-    const Task& tb = (*tasks)[static_cast<std::size_t>(b)];
-    if (ta.priority != tb.priority) return ta.priority < tb.priority;
-    return ta.id > tb.id;  // older first when popped from a max-heap
-  }
-};
-
-/// Same ordering as PrioLess, reading priorities from a flat epoch-local
-/// array instead of the Task records, so the lock-light queues serve both
-/// live tasks (ids offset by the retirement base) and replayed slots
-/// (epoch-local ids, base 0) with one comparator.
-struct LLPrioLess {
+/// Ready-queue order over epoch slots: higher priority first, then the
+/// older (lower) slot first when popped from a max-heap. Slot order is
+/// submission order for live and replayed epochs alike.
+struct SlotPrioLess {
   const std::vector<int>* prio;
-  TaskId base;
   bool operator()(TaskId a, TaskId b) const {
-    const int pa = (*prio)[static_cast<std::size_t>(a - base)];
-    const int pb = (*prio)[static_cast<std::size_t>(b - base)];
+    const int pa = (*prio)[static_cast<std::size_t>(a)];
+    const int pb = (*prio)[static_cast<std::size_t>(b)];
     if (pa != pb) return pa < pb;
-    return a > b;  // older first when popped from a max-heap
+    return a > b;
   }
 };
 
@@ -82,7 +67,7 @@ inline void cpu_pause() {
 // (compared by Impl address, stored untyped so the anonymous namespace need
 // not name the private Impl), its worker id, and whether it is currently
 // inside a nested task (nesting-inside-nesting stays inline). Set only by
-// the lock-light and replay pool threads.
+// the pool threads.
 thread_local const void* tls_worker_pool = nullptr;
 thread_local int tls_worker_id = -1;
 thread_local bool tls_in_nested_task = false;
@@ -124,36 +109,54 @@ struct NestedEpochImpl {
   std::exception_ptr first_error;
 };
 
+// Every wait_all() executes one CapturedGraph over epoch-local slots: a
+// replayed epoch runs the graph it was armed with, a live epoch is first
+// lowered into `live` (its successors, in-degrees and submit-time
+// priorities; accesses are collapsed into it at submit). Two executors run
+// it: the pool loop for every multi-worker epoch, and the inline executor
+// on the calling thread for one worker and for the schedule fuzzer.
 struct Engine::Impl {
   Options opts;
   std::vector<Task> tasks;
   std::vector<HandleState> handles;
   std::vector<TraceEvent> trace;
 
-  // Execution state (valid during wait_all).
-  std::mutex mu;
-  std::condition_variable cv;
-  index_t remaining = 0;
   std::exception_ptr first_error;
-  int seed_rr = 0;  ///< round-robin seed target for initially-ready tasks
+  std::mutex err_mu;  // guards first_error on the pool (cold)
+  int seed_rr = 0;    ///< round-robin seed target for initially-ready tasks
   std::atomic<bool> executing{false};  ///< set for the span of wait_all()
+  index_t edge_counter = 0;  ///< inferred-edge count (fault injection)
+
+  /// Tasks below this index belong to fully-drained earlier epochs: every
+  /// edge into them is already satisfied and their closures are gone. A
+  /// long-lived engine (a serve session runs thousands of solve epochs
+  /// against one factorization) would otherwise re-scan the entire task
+  /// history and hold every submitted closure alive forever.
+  index_t retired = 0;
+
+  // --- the epoch graph ---------------------------------------------------
+  //
+  // `live` is the graph of the epoch [retired, tasks.size()) under
+  // construction: submit() appends its collapsed accesses (when the
+  // checker, a capture or affinity needs them) and wait_all() lowers the
+  // rest. `fns` holds the epoch's closures by slot — appended by live
+  // submits, bound in order by replay submits.
+  CapturedGraph live;
+  std::vector<std::function<void()>> fns;
+  const CapturedGraph* eg = nullptr;  ///< the executing epoch's graph
+  TaskId eg_base = 0;  ///< id of slot 0: the first task id live, 0 replayed
+  std::vector<double> epoch_dur;  ///< measured duration per slot
 
   // Access-conflict checker state (under mu; valid during wait_all when
-  // opts.check_conflicts). One slot per handle: the running writer task (if
-  // any), the count of running readers, and one reader id for diagnostics.
+  // opts.check_conflicts). One entry per handle: the running writer slot
+  // (if any), the count of running readers, and one reader for diagnostics.
+  std::mutex mu;
   std::vector<TaskId> active_writer;
   std::vector<index_t> active_readers;
   std::vector<TaskId> reader_witness;
   std::vector<std::string> conflict_log;
 
-  index_t edge_counter = 0;  ///< inferred-edge count (fault injection)
-
-  // Scheduler queues of the global-lock fallback path.
-  std::vector<TaskId> prio_heap;                 // policy: prio
-  std::vector<std::deque<TaskId>> worker_deques; // policy: ws
-  std::vector<std::vector<TaskId>> worker_heaps; // policy: lws
-
-  // --- lock-light scheduler state (valid during run_parallel_locklight) ---
+  // --- pool state (valid during run_pool) --------------------------------
   //
   // Each worker owns one cache-line-isolated queue slot (deque for ws, heap
   // for lws) guarded by its own small mutex, plus a private parking condvar.
@@ -171,22 +174,23 @@ struct Engine::Impl {
     std::condition_variable park_cv;
     unsigned wake_epoch = 0;  // under park_mu; bumped once per targeted wake
     std::vector<TraceEvent> local_trace;  // merged into `trace` after join
+    std::vector<std::uint64_t> by_worker;  // aff_target scratch, size P
   };
   std::vector<std::unique_ptr<WorkerState>> ll_workers;
-  std::mutex prio_mu;                       // guards prio_heap_ll
-  std::vector<TaskId> prio_heap_ll;
+  std::mutex prio_mu;  // guards prio_heap
+  std::vector<TaskId> prio_heap;
   std::atomic<index_t> prio_size{0};
-  std::unique_ptr<std::atomic<index_t>[]> pending_ll;
-  index_t ll_base = 0;  ///< pending_ll[i] belongs to task `ll_base + i`
-  std::atomic<index_t> remaining_ll{0};
-  std::atomic<std::uint64_t> parked_mask{0};  // bit w set = worker w parked
-  std::mutex err_mu;                          // guards first_error (cold)
+  std::unique_ptr<std::atomic<index_t>[]> pending;  ///< per slot
+  std::atomic<index_t> remaining{0};
+  /// Parked-worker bitset: bit w % 64 of word w / 64 set = worker w parked.
+  std::size_t parked_words = 0;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> parked_mask;
 
   // --- nested sub-epoch state (DESIGN.md section 11) ---------------------
   //
   // Sub-epochs in their wait() phase register here so idle pool workers can
   // steal their tasks. nested_ready_total mirrors the summed ready-queue
-  // occupancy (same role as the lock-light occupancy mirrors: parking
+  // occupancy (same role as the pool's occupancy mirrors: parking
   // double-checks and steal attempts never take nested_mu when it is zero);
   // publish (under nested_mu, then fetch_add) precedes the targeted
   // ll_wake, pairing with ll_park's announce-then-recheck. nested_live
@@ -199,29 +203,13 @@ struct Engine::Impl {
   std::atomic<index_t> nested_live{0};
   std::atomic<index_t> nested_edge_counter{0};  // nested fault injection
 
-  std::chrono::steady_clock::time_point epoch_start;
-
-  /// Tasks below this index belong to fully-drained earlier epochs: their
-  /// closures have been released and every execution path skips them. A
-  /// long-lived engine (a serve session runs thousands of solve epochs
-  /// against one factorization) would otherwise re-scan the entire task
-  /// history and hold every submitted closure alive forever.
-  index_t retired = 0;
-
   // --- capture / replay state (DESIGN.md section 10) ---------------------
   bool capture_armed = false;  ///< record the next epoch into `captured`
-  index_t capture_start = 0;   ///< first task id of the captured epoch
   std::shared_ptr<const CapturedGraph> captured;
-  std::shared_ptr<const CapturedGraph> replay;    ///< armed replay graph
-  std::vector<std::function<void()>> replay_fns;  ///< slot -> closure
+  std::shared_ptr<const CapturedGraph> replay;  ///< armed replay graph
   index_t replay_next = 0;
   std::atomic<std::uint64_t> epochs_captured{0};
   std::atomic<std::uint64_t> epochs_replayed{0};
-
-  /// Epoch-local priority view for LLPrioLess: live epochs copy the tasks'
-  /// submit-time priorities (indexed by id - ll_base), replays install the
-  /// captured graph's critical-path priorities (indexed by slot).
-  std::vector<int> ll_prio;
 
   // --- data-affinity scheduling state (DESIGN.md section 14) --------------
   //
@@ -240,13 +228,13 @@ struct Engine::Impl {
   /// (relaxed: a stale read only costs locality, never correctness).
   std::unique_ptr<std::atomic<int>[]> aff_owner;
   std::size_t aff_owner_count = 0;
-  /// Intended owner per epoch task (index id - ll_base), set before the
-  /// task is queued; the steal scorer prefers tasks that were NOT routed to
-  /// their victim ("cold") when a steal is unavoidable.
+  /// Intended owner per slot, set before the slot is queued; the steal
+  /// scorer prefers slots that were NOT routed to their victim ("cold")
+  /// when a steal is unavoidable.
   std::unique_ptr<std::atomic<int>[]> ll_owner;
-  /// Input-handle signature per epoch task (index id - ll_base): one hash
-  /// bit per read/readwrite handle. Thieves take only tasks overlapping
-  /// their own recent-write signature in the first scan pass.
+  /// Input-handle signature per slot: one hash bit per read/readwrite
+  /// handle. Thieves take only slots overlapping their own recent-write
+  /// signature in the first scan pass.
   std::vector<std::uint64_t> aff_in_sig;
 
   static std::uint64_t aff_sig_bit(index_t h) {
@@ -286,40 +274,40 @@ struct Engine::Impl {
     aff_epoch = false;
   }
 
-  /// Worker owning the plurality of the task's input bytes, or -1 when no
-  /// input has a known last writer. Ties go to the lowest worker.
-  int aff_input_owner(const Task& t) const {
-    std::uint64_t by_worker[64] = {0};
+  /// Affinity target of `slot`, or -1 for none: under replay the captured
+  /// graph's offline partition (valid only when it was computed for this
+  /// pool width); live, the worker owning the plurality of the slot's
+  /// input bytes, ties to the lowest worker. `by_worker` is P entries of
+  /// scratch.
+  int aff_target(TaskId slot, std::vector<std::uint64_t>& by_worker) const {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    if (replay != nullptr)
+      return g.placement_workers == opts.num_workers && s < g.placement.size()
+                 ? g.placement[s]
+                 : -1;
+    std::fill(by_worker.begin(), by_worker.end(), 0);
     bool any = false;
-    for (const Access& a : t.accesses) {
-      if (a.mode == AccessMode::Write) continue;  // pure output
-      const auto h = static_cast<std::size_t>(a.handle.id);
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      if (!g.acc_read[ei]) continue;  // pure output
+      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
       if (h >= aff_owner_count) continue;
       const int ow = aff_owner[h].load(std::memory_order_relaxed);
       if (ow < 0 || ow >= opts.num_workers) continue;
-      const std::size_t b = handles[h].bytes;
-      by_worker[ow] += b ? b : 1;
+      by_worker[static_cast<std::size_t>(ow)] +=
+          g.acc_bytes[ei] ? g.acc_bytes[ei] : 1;
       any = true;
     }
     if (!any) return -1;
     int best = -1;
     std::uint64_t best_bytes = 0;
     for (int v = 0; v < opts.num_workers; ++v)
-      if (by_worker[v] > best_bytes) {
-        best_bytes = by_worker[v];
+      if (by_worker[static_cast<std::size_t>(v)] > best_bytes) {
+        best_bytes = by_worker[static_cast<std::size_t>(v)];
         best = v;
       }
     return best;
-  }
-
-  /// Replay placement: the captured graph's offline partition, valid only
-  /// when it was computed for this pool width.
-  int aff_replay_target(TaskId slot) const {
-    const CapturedGraph& g = *replay;
-    if (g.placement_workers != opts.num_workers ||
-        static_cast<std::size_t>(slot) >= g.placement.size())
-      return -1;
-    return g.placement[static_cast<std::size_t>(slot)];
   }
 
   // Submission-phase stopwatch: opened by the first submit() of an epoch
@@ -338,13 +326,13 @@ struct Engine::Impl {
     aff_track = opts.num_workers > 1 &&
                 opts.policy != SchedulerPolicy::Priority &&
                 !affinity_disabled();
+    parked_words = (static_cast<std::size_t>(opts.num_workers) + 63) / 64;
+    parked_mask = std::make_unique<std::atomic<std::uint64_t>[]>(parked_words);
+    live.acc_off.push_back(0);
   }
 
   bool all_drained() const {
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i)
-      if (!tasks[i].done) return false;
-    return true;
+    return retired == static_cast<index_t>(tasks.size());
   }
 
   void open_submit_clock() {
@@ -371,338 +359,213 @@ struct Engine::Impl {
   void add_edge(TaskId from, TaskId to) {
     if (from == to) return;  // a task never depends on itself (a self-edge
                              // would leave pending > 0 forever: deadlock)
+    if (from < retired) return;  // satisfied by an earlier epoch
     Task& src = tasks[static_cast<std::size_t>(from)];
-    if (src.done) return;  // dependency already satisfied (earlier epoch)
     if (src.last_edge_to == to) return;  // dedupe within this submit
     src.last_edge_to = to;
     if (edge_counter++ == opts.fault_drop_edge) return;  // fault injection
     src.successors.push_back(to);
-    Task& dst = tasks[static_cast<std::size_t>(to)];
-    ++dst.num_deps;
-    ++dst.pending;
+    ++tasks[static_cast<std::size_t>(to)].num_deps;
+  }
+
+  /// Append the task's accesses to `live`, collapsed to one entry per
+  /// handle (a task may list a handle several times): mixed read+write
+  /// becomes read+write — still exclusive for the checker, still an input
+  /// for placement.
+  void collapse_accesses(const std::vector<Access>& accesses) {
+    CapturedGraph& g = live;
+    const std::size_t first = g.acc_handle.size();
+    for (const Access& a : accesses) {
+      const auto w = static_cast<std::uint8_t>(a.mode != AccessMode::Read);
+      const auto r = static_cast<std::uint8_t>(a.mode != AccessMode::Write);
+      std::size_t k = first;
+      while (k < g.acc_handle.size() && g.acc_handle[k] != a.handle.id) ++k;
+      if (k < g.acc_handle.size()) {
+        g.acc_write[k] |= w;
+        g.acc_read[k] |= r;
+        continue;
+      }
+      g.acc_handle.push_back(a.handle.id);
+      g.acc_write.push_back(w);
+      g.acc_read.push_back(r);
+      g.acc_bytes.push_back(static_cast<std::uint64_t>(
+          handles[static_cast<std::size_t>(a.handle.id)].bytes));
+      g.max_handle = std::max(g.max_handle, a.handle.id);
+    }
+  }
+
+  /// Lower the live epoch [retired, tasks.size()) into `live`: successors
+  /// in CSR over epoch slots, in-degrees (every edge stays in the epoch:
+  /// edges into drained epochs are never added), submit-time priorities,
+  /// and labels when the checker or a capture will name slots.
+  void lower_epoch() {
+    CapturedGraph& g = live;
+    const auto base = static_cast<std::size_t>(retired);
+    const std::size_t n = tasks.size() - base;
+    g.count = static_cast<index_t>(n);
+    g.succ_off.assign(n + 1, 0);
+    g.pending0.resize(n);
+    g.priority.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Task& t = tasks[base + i];
+      g.succ_off[i + 1] =
+          g.succ_off[i] + static_cast<index_t>(t.successors.size());
+      g.pending0[i] = t.num_deps;
+      g.priority[i] = t.priority;
+    }
+    g.succ.reserve(static_cast<std::size_t>(g.succ_off[n]));
+    for (std::size_t i = 0; i < n; ++i)
+      for (const TaskId s : tasks[base + i].successors) {
+        HCHAM_DCHECK(s >= retired && s - retired < g.count);
+        g.succ.push_back(s - retired);
+      }
+    if (opts.check_conflicts || capture_armed) {
+      g.label.resize(n);
+      for (std::size_t i = 0; i < n; ++i) g.label[i] = tasks[base + i].label;
+    }
   }
 
   // --- access-conflict checker (all under mu) ----------------------------
 
-  void report_conflict(const Task& t, TaskId other, Handle h,
+  void report_conflict(index_t slot, index_t other, index_t handle,
                        const char* kind) {
-    const Task& o = tasks[static_cast<std::size_t>(other)];
+    const CapturedGraph& g = *eg;
+    auto name = [&g](index_t s) {
+      const auto i = static_cast<std::size_t>(s);
+      return i < g.label.size() && !g.label[i].empty()
+                 ? " [" + g.label[i] + "]"
+                 : std::string();
+    };
     std::ostringstream msg;
-    msg << kind << " access conflict on handle #" << h.id;
-    const std::string& name = handles[static_cast<std::size_t>(h.id)].name;
-    if (!name.empty()) msg << " '" << name << "'";
-    msg << ": task " << t.id << (t.label.empty() ? "" : " [" + t.label + "]")
-        << " started while task " << other
-        << (o.label.empty() ? "" : " [" + o.label + "]") << " was running";
+    msg << kind << " access conflict on handle #" << handle;
+    if (handle < static_cast<index_t>(handles.size()) &&
+        !handles[static_cast<std::size_t>(handle)].name.empty())
+      msg << " '" << handles[static_cast<std::size_t>(handle)].name << "'";
+    const bool replayed = replay != nullptr;
+    msg << (replayed ? ": replay slot " : ": task ") << eg_base + slot
+        << name(slot) << " started while " << (replayed ? "slot " : "task ")
+        << eg_base + other << name(other) << " was running";
     conflict_log.push_back(msg.str());
   }
 
-  /// Mark the task's accesses active; any overlap with a running writer
-  /// (or a running reader, for a writer) is a missing dependency edge.
-  void checker_enter(const Task& t) {
-    for (const Access& a : t.accesses) {
-      const auto h = static_cast<std::size_t>(a.handle.id);
-      if (a.mode == AccessMode::Read) {
-        if (active_writer[h] >= 0)
-          report_conflict(t, active_writer[h], a.handle, "R/W");
-        ++active_readers[h];
-        reader_witness[h] = t.id;
-      } else {
-        if (active_writer[h] >= 0)
-          report_conflict(t, active_writer[h], a.handle, "W/W");
-        else if (active_readers[h] > 0)
-          report_conflict(t, reader_witness[h], a.handle, "W/R");
-        active_writer[h] = t.id;
-      }
-    }
-  }
-
-  void checker_leave(const Task& t) {
-    for (const Access& a : t.accesses) {
-      const auto h = static_cast<std::size_t>(a.handle.id);
-      if (a.mode == AccessMode::Read) {
-        --active_readers[h];
-      } else if (active_writer[h] == t.id) {
-        // A conflicting second writer may have overwritten the slot.
-        active_writer[h] = -1;
-      }
-    }
-  }
-
+  /// The checker arrays cover the graph's handle range: a replayed graph
+  /// may have been captured on another engine (shared cache) whose handle
+  /// space is larger than this one's.
   void checker_reset() {
     conflict_log.clear();
-    active_writer.assign(handles.size(), -1);
-    active_readers.assign(handles.size(), 0);
-    reader_witness.assign(handles.size(), -1);
+    const auto nh = static_cast<std::size_t>(std::max<index_t>(
+        static_cast<index_t>(handles.size()), eg->max_handle + 1));
+    active_writer.assign(nh, -1);
+    active_readers.assign(nh, 0);
+    reader_witness.assign(nh, -1);
   }
 
-  // --- global-lock scheduler plumbing (all under mu) ---------------------
+  /// Mark the slot's accesses active; any overlap with a running writer
+  /// (or a running reader, for a writer) is a missing dependency edge.
+  void checker_enter(index_t slot) {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
+      if (!g.acc_write[ei]) {
+        if (active_writer[h] >= 0)
+          report_conflict(slot, active_writer[h], g.acc_handle[ei], "R/W");
+        ++active_readers[h];
+        reader_witness[h] = slot;
+      } else {
+        if (active_writer[h] >= 0)
+          report_conflict(slot, active_writer[h], g.acc_handle[ei], "W/W");
+        else if (active_readers[h] > 0)
+          report_conflict(slot, reader_witness[h], g.acc_handle[ei], "W/R");
+        active_writer[h] = slot;
+      }
+    }
+  }
 
-  void make_ready(TaskId id, int releasing_worker) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority:
-        prio_heap.push_back(id);
-        std::push_heap(prio_heap.begin(), prio_heap.end(),
-                       PrioLess{&tasks});
-        break;
-      case SchedulerPolicy::WorkStealing:
-        worker_deques[static_cast<std::size_t>(releasing_worker)]
-            .push_back(id);
-        break;
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& heap =
-            worker_heaps[static_cast<std::size_t>(releasing_worker)];
-        heap.push_back(id);
-        std::push_heap(heap.begin(), heap.end(), PrioLess{&tasks});
-        break;
+  void checker_leave(index_t slot) {
+    const CapturedGraph& g = *eg;
+    const auto s = static_cast<std::size_t>(slot);
+    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
+      if (!g.acc_write[ei]) {
+        --active_readers[h];
+      } else if (active_writer[h] == slot) {
+        // A conflicting second writer may have overwritten the entry.
+        active_writer[h] = -1;
       }
     }
   }
 
   /// Seed target for tasks that are ready at submission time ("released by
   /// the main thread"): spread round-robin across workers. The cursor is
-  /// reset at the start of every epoch so multi-epoch programs seed exactly
-  /// like the simulator's replay (which restarts at worker 0 per call).
+  /// reset at the start of every pool epoch so multi-epoch programs seed
+  /// exactly like the simulator's replay (which restarts at worker 0 per
+  /// call).
   int next_seed_worker() {
     const int w = seed_rr;
     seed_rr = (seed_rr + 1) % opts.num_workers;
     return w;
   }
 
-  TaskId pick_task(int w) {
-    switch (opts.policy) {
-      case SchedulerPolicy::Priority: {
-        if (prio_heap.empty()) return -1;
-        std::pop_heap(prio_heap.begin(), prio_heap.end(), PrioLess{&tasks});
-        const TaskId id = prio_heap.back();
-        prio_heap.pop_back();
-        return id;
-      }
-      case SchedulerPolicy::WorkStealing: {
-        auto& own = worker_deques[static_cast<std::size_t>(w)];
-        if (!own.empty()) {
-          const TaskId id = own.back();  // LIFO on the owner side
-          own.pop_back();
-          return id;
-        }
-        // Steal from the most loaded worker (FIFO on the thief side).
-        int victim = -1;
-        std::size_t best = 0;
-        for (int v = 0; v < opts.num_workers; ++v) {
-          if (v == w) continue;
-          const std::size_t sz =
-              worker_deques[static_cast<std::size_t>(v)].size();
-          if (sz > best) {
-            best = sz;
-            victim = v;
-          }
-        }
-        if (victim < 0) return -1;
-        auto& vq = worker_deques[static_cast<std::size_t>(victim)];
-        const TaskId id = vq.front();
-        vq.pop_front();
-        return id;
-      }
-      case SchedulerPolicy::LocalityWorkStealing: {
-        auto& own = worker_heaps[static_cast<std::size_t>(w)];
-        if (!own.empty()) {
-          std::pop_heap(own.begin(), own.end(), PrioLess{&tasks});
-          const TaskId id = own.back();
-          own.pop_back();
-          return id;
-        }
-        // Steal from neighbours in ring order, respecting priorities.
-        for (int d = 1; d < opts.num_workers; ++d) {
-          const int v = (w + d) % opts.num_workers;
-          auto& vq = worker_heaps[static_cast<std::size_t>(v)];
-          if (vq.empty()) continue;
-          std::pop_heap(vq.begin(), vq.end(), PrioLess{&tasks});
-          const TaskId id = vq.back();
-          vq.pop_back();
-          return id;
-        }
-        return -1;
-      }
-    }
-    return -1;
-  }
+  // --- the inline executor ------------------------------------------------
 
-  // --- execution -----------------------------------------------------------
-
-  /// Called after every wait_all() execution: the epoch's tasks have
-  /// drained (even on task failure the graph runs to completion), so their
-  /// closures can be released and the live range advanced. Graph metadata
-  /// (labels, durations, edges) is kept — graph() / to_dot() still see the
-  /// full history. If a task is somehow not done (stalled fuzz replay of a
-  /// broken graph), the boundary stays put so the task re-runs next epoch.
-  void retire_epoch() {
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (!t.done) return;
-      t.fn = nullptr;
-      t.accesses.clear();
-      t.accesses.shrink_to_fit();
-    }
-    retired = static_cast<index_t>(tasks.size());
-  }
-
-  void run_sequential() {
-    // STF guarantees dependencies point backwards, so submission order is a
-    // valid topological order.
+  /// Run the epoch on the calling thread: in slot order (a valid
+  /// topological order: STF edges and captured edges point forward), or
+  /// under fuzz_schedule in a seed-chosen random topological order — at
+  /// every step one of the currently-ready slots is drawn uniformly. The
+  /// fuzzer explores legal schedules the three production policies never
+  /// produce, deterministically per seed. Fusion is irrelevant here: a
+  /// fused tail is released by its lone predecessor like any successor.
+  void run_inline() {
+    const CapturedGraph& g = *eg;
     la::WorkspaceLease workspace_lease;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
+    auto run = [&](TaskId slot) {
       const double start =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
       Timer timer;
       try {
-        t.fn();
+        fns[static_cast<std::size_t>(slot)]();
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
       }
-      t.duration_s = timer.seconds();
-      t.done = true;
-      t.pending = 0;
+      const double dur = timer.seconds();
+      epoch_dur[static_cast<std::size_t>(slot)] = dur;
       if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, 0, start, start + t.duration_s});
+        trace.push_back(TraceEvent{eg_base + slot, 0, start, start + dur});
+    };
+    if (!opts.fuzz_schedule) {
+      for (TaskId i = 0; i < g.count; ++i) run(i);
+      return;
     }
-  }
-
-  /// Single-threaded replay in a seed-chosen random topological order: at
-  /// every step one of the currently-ready tasks is drawn uniformly. This
-  /// explores legal schedules the three production policies never produce,
-  /// deterministically per seed.
-  void run_fuzzed() {
     Rng rng(opts.fuzz_seed);
-    la::WorkspaceLease workspace_lease;
-    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<index_t> left_deps(g.pending0);
     std::vector<TaskId> ready;
-    index_t left = 0;
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
-      ++left;
-      if (t.pending == 0) ready.push_back(t.id);
-    }
+    for (TaskId i = 0; i < g.count; ++i)
+      if (left_deps[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+    index_t left = g.count;
     while (!ready.empty()) {
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_index(ready.size()));
       const TaskId id = ready[pick];
       ready[pick] = ready.back();
       ready.pop_back();
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      try {
-        t.fn();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      t.duration_s = timer.seconds();
-      t.done = true;
-      for (const TaskId succ : t.successors) {
-        Task& s = tasks[static_cast<std::size_t>(succ)];
-        if (--s.pending == 0) ready.push_back(succ);
+      run(id);
+      const auto s = static_cast<std::size_t>(id);
+      for (index_t e = g.succ_off[s]; e < g.succ_off[s + 1]; ++e) {
+        const TaskId succ = g.succ[static_cast<std::size_t>(e)];
+        if (--left_deps[static_cast<std::size_t>(succ)] == 0)
+          ready.push_back(succ);
       }
       --left;
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, 0, start, start + t.duration_s});
     }
-    HCHAM_CHECK_MSG(left == 0, "fuzzed replay stalled: cycle in task graph");
+    HCHAM_CHECK_MSG(left == 0, "fuzzed schedule stalled: cycle in task graph");
   }
 
-  // --- global-lock parallel path (verification fallback) -----------------
-  //
-  // Every scheduling decision under one mutex with broadcast wakeups. Kept
-  // as the execution substrate of the access-conflict checker, whose
-  // bookkeeping relies on task start/finish being serialized by that mutex
-  // (see DESIGN.md section 6); also the fallback above 64 workers, where
-  // the lock-light parked-worker bitmask would overflow.
-
-  void worker_loop_locked(int w,
-                          const std::chrono::steady_clock::time_point t0) {
-    std::unique_lock<std::mutex> lk(mu);
-    while (true) {
-      if (remaining == 0) {
-        cv.notify_all();
-        return;
-      }
-      const TaskId id = pick_task(w);
-      if (id < 0) {
-        cv.wait(lk);
-        continue;
-      }
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      if (opts.check_conflicts) checker_enter(t);
-      lk.unlock();
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      std::exception_ptr error;
-      try {
-        t.fn();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const double dur = timer.seconds();
-      lk.lock();
-      if (opts.check_conflicts) checker_leave(t);
-      if (error && !first_error) first_error = error;
-      t.duration_s = dur;
-      t.done = true;
-      bool woke = false;
-      for (const TaskId succ : t.successors) {
-        Task& s = tasks[static_cast<std::size_t>(succ)];
-        if (--s.pending == 0) {
-          make_ready(succ, w);
-          woke = true;
-        }
-      }
-      --remaining;
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{t.id, w, start, start + dur});
-      if (remaining == 0 || woke) cv.notify_all();
-    }
-  }
-
-  void run_parallel_locked() {
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      seed_rr = 0;  // simulator replays restart the round-robin each epoch
-      remaining = 0;
-      prio_heap.clear();
-      worker_deques.assign(static_cast<std::size_t>(opts.num_workers), {});
-      worker_heaps.assign(static_cast<std::size_t>(opts.num_workers), {});
-      for (std::size_t i = static_cast<std::size_t>(retired);
-           i < tasks.size(); ++i) {
-        Task& t = tasks[i];
-        if (t.done) continue;
-        ++remaining;
-        if (t.pending == 0) make_ready(t.id, next_seed_worker());
-      }
-      if (remaining == 0) return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(opts.num_workers));
-    for (int w = 0; w < opts.num_workers; ++w)
-      pool.emplace_back([this, w, t0] {
-        la::WorkspaceLease workspace_lease(w);
-        worker_loop_locked(w, t0);
-      });
-    for (auto& th : pool) th.join();
-  }
-
-  // --- lock-light parallel path (the default) ----------------------------
+  // --- the pool loop ------------------------------------------------------
 
   bool ll_has_ready() const {
     if (opts.policy == SchedulerPolicy::Priority) return prio_size.load() > 0;
@@ -711,17 +574,17 @@ struct Engine::Impl {
     return false;
   }
 
-  /// Publish a batch of newly-ready tasks with ONE lock acquisition: the
-  /// releasing worker's own queue (ws/lws, matching the global-lock path's
-  /// make_ready target) or the central prio heap.
+  /// Publish a batch of newly-ready slots with ONE lock acquisition: the
+  /// releasing worker's own queue (ws/lws, the simulator's
+  /// push(id, releasing_worker) model) or the central prio heap.
   void ll_push_batch(int w, const std::vector<TaskId>& batch) {
+    const SlotPrioLess less{&eg->priority};
     switch (opts.policy) {
       case SchedulerPolicy::Priority: {
         std::lock_guard<std::mutex> lk(prio_mu);
         for (const TaskId id : batch) {
-          prio_heap_ll.push_back(id);
-          std::push_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                         LLPrioLess{&ll_prio, ll_base});
+          prio_heap.push_back(id);
+          std::push_heap(prio_heap.begin(), prio_heap.end(), less);
         }
         prio_size.fetch_add(static_cast<index_t>(batch.size()));
         break;
@@ -738,8 +601,7 @@ struct Engine::Impl {
         std::lock_guard<std::mutex> lk(q.mu);
         for (const TaskId id : batch) {
           q.heap.push_back(id);
-          std::push_heap(q.heap.begin(), q.heap.end(),
-                         LLPrioLess{&ll_prio, ll_base});
+          std::push_heap(q.heap.begin(), q.heap.end(), less);
         }
         q.size.fetch_add(static_cast<index_t>(batch.size()));
         break;
@@ -748,10 +610,10 @@ struct Engine::Impl {
   }
 
   /// Affinity-aware steal (DESIGN.md section 14), shared by the ws and lws
-  /// policies under aff_epoch. Pass 1 takes only tasks whose input handles
+  /// policies under aff_epoch. Pass 1 takes only slots whose input handles
   /// overlap the thief's recent-write signature, skipping victims with no
-  /// overlapping queued task; pass 2 (a steal is unavoidable) prefers a
-  /// task that was NOT routed to its victim ("cold") within the scan
+  /// overlapping queued slot; pass 2 (a steal is unavoidable) prefers a
+  /// slot that was NOT routed to its victim ("cold") within the scan
   /// window, falling back to the queue's steal-side default. Victims whose
   /// occupancy mirror reads zero are skipped without locking in both
   /// passes.
@@ -773,7 +635,7 @@ struct Engine::Impl {
         if (pass == 0) {
           for (std::size_t i = 0; i < k; ++i) {
             const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (aff_in_sig[static_cast<std::size_t>(id - ll_base)] & my_sig) {
+            if (aff_in_sig[static_cast<std::size_t>(id)] & my_sig) {
               take = i;
               break;
             }
@@ -783,7 +645,7 @@ struct Engine::Impl {
           take = 0;
           for (std::size_t i = 0; i < k; ++i) {
             const TaskId id = is_ws ? vq.deque[i] : vq.heap[i];
-            if (ll_owner[static_cast<std::size_t>(id - ll_base)].load(
+            if (ll_owner[static_cast<std::size_t>(id)].load(
                     std::memory_order_relaxed) != v) {
               take = i;
               break;
@@ -799,7 +661,7 @@ struct Engine::Impl {
           vq.heap[take] = vq.heap.back();
           vq.heap.pop_back();
           std::make_heap(vq.heap.begin(), vq.heap.end(),
-                         LLPrioLess{&ll_prio, ll_base});
+                         SlotPrioLess{&eg->priority});
         }
         vq.size.fetch_sub(1);
         runtime_counters().ll_steals.fetch_add(1, std::memory_order_relaxed);
@@ -811,23 +673,20 @@ struct Engine::Impl {
     return -1;
   }
 
-  /// Route a batch of newly-ready tasks to their affinity targets — the
-  /// captured graph's offline placement under replay, the live last-writer
-  /// plurality otherwise — with one queue lock per distinct target, then
-  /// wake parked workers for every routed task this worker will not
-  /// immediately take itself. `self_busy` marks releases from inside a
-  /// fused chain, where the releasing worker keeps running the chain and
-  /// every routed task is surplus.
+  /// Route a batch of newly-ready slots to their affinity targets with one
+  /// queue lock per distinct target, then wake parked workers for every
+  /// routed slot this worker will not immediately take itself. `self_busy`
+  /// marks releases from inside a fused chain, where the releasing worker
+  /// keeps running the chain and every routed slot is surplus.
   void ll_dispatch_affinity(int w, const std::vector<TaskId>& batch,
                             std::vector<int>& targets,
                             std::vector<TaskId>& sub, bool self_busy) {
     targets.clear();
     bool keeps = false;
     auto& rc = runtime_counters();
+    auto& by_worker = ll_workers[static_cast<std::size_t>(w)]->by_worker;
     for (const TaskId id : batch) {
-      int t = replay != nullptr
-                  ? aff_replay_target(id)
-                  : aff_input_owner(tasks[static_cast<std::size_t>(id)]);
+      int t = aff_target(id, by_worker);
       if (t < 0) {
         t = w;
         rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
@@ -847,8 +706,8 @@ struct Engine::Impl {
         targets[j] = -1;
       }
       for (const TaskId id : sub)
-        ll_owner[static_cast<std::size_t>(id - ll_base)].store(
-            t, std::memory_order_relaxed);
+        ll_owner[static_cast<std::size_t>(id)].store(t,
+                                                     std::memory_order_relaxed);
       ll_push_batch(t, sub);
     }
     const auto wake =
@@ -856,16 +715,16 @@ struct Engine::Impl {
     if (wake > 0) ll_wake(wake);
   }
 
-  TaskId ll_pop(int w, std::uint64_t my_sig = 0) {
+  TaskId ll_pop(int w, std::uint64_t my_sig) {
+    const SlotPrioLess less{&eg->priority};
     switch (opts.policy) {
       case SchedulerPolicy::Priority: {
         if (prio_size.load() == 0) return -1;
         std::lock_guard<std::mutex> lk(prio_mu);
-        if (prio_heap_ll.empty()) return -1;
-        std::pop_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                      LLPrioLess{&ll_prio, ll_base});
-        const TaskId id = prio_heap_ll.back();
-        prio_heap_ll.pop_back();
+        if (prio_heap.empty()) return -1;
+        std::pop_heap(prio_heap.begin(), prio_heap.end(), less);
+        const TaskId id = prio_heap.back();
+        prio_heap.pop_back();
         prio_size.fetch_sub(1);
         return id;
       }
@@ -913,8 +772,7 @@ struct Engine::Impl {
         if (own.size.load() > 0) {
           std::lock_guard<std::mutex> lk(own.mu);
           if (!own.heap.empty()) {
-            std::pop_heap(own.heap.begin(), own.heap.end(),
-                          LLPrioLess{&ll_prio, ll_base});
+            std::pop_heap(own.heap.begin(), own.heap.end(), less);
             const TaskId id = own.heap.back();
             own.heap.pop_back();
             own.size.fetch_sub(1);
@@ -930,8 +788,7 @@ struct Engine::Impl {
           if (vq.size.load() == 0) continue;
           std::lock_guard<std::mutex> lk(vq.mu);
           if (vq.heap.empty()) continue;
-          std::pop_heap(vq.heap.begin(), vq.heap.end(),
-                        LLPrioLess{&ll_prio, ll_base});
+          std::pop_heap(vq.heap.begin(), vq.heap.end(), less);
           const TaskId id = vq.heap.back();
           vq.heap.pop_back();
           vq.size.fetch_sub(1);
@@ -947,24 +804,33 @@ struct Engine::Impl {
     return -1;
   }
 
+  bool any_parked() const {
+    for (std::size_t k = 0; k < parked_words; ++k)
+      if (parked_mask[k].load() != 0) return true;
+    return false;
+  }
+
   /// Wake up to `count` parked workers, one targeted notify each (never a
   /// broadcast). The mask snapshot may be stale; waking an already-running
   /// worker is a harmless extra epoch bump. Bits are cleared by their
   /// owners on unpark, so a missed targeted wake can never hide a worker
   /// from later wakes or from termination.
   void ll_wake(index_t count) {
-    std::uint64_t mask = parked_mask.load();
-    while (count > 0 && mask != 0) {
-      const int w = std::countr_zero(mask);
-      mask &= mask - 1;
-      auto& ws = *ll_workers[static_cast<std::size_t>(w)];
-      {
-        std::lock_guard<std::mutex> lk(ws.park_mu);
-        ++ws.wake_epoch;
+    for (std::size_t k = 0; k < parked_words && count > 0; ++k) {
+      std::uint64_t mask = parked_mask[k].load();
+      while (count > 0 && mask != 0) {
+        const std::size_t w =
+            k * 64 + static_cast<std::size_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        auto& ws = *ll_workers[w];
+        {
+          std::lock_guard<std::mutex> lk(ws.park_mu);
+          ++ws.wake_epoch;
+        }
+        ws.park_cv.notify_one();
+        runtime_counters().ll_wakes.fetch_add(1, std::memory_order_relaxed);
+        --count;
       }
-      ws.park_cv.notify_one();
-      runtime_counters().ll_wakes.fetch_add(1, std::memory_order_relaxed);
-      --count;
     }
   }
 
@@ -984,11 +850,13 @@ struct Engine::Impl {
   /// the releaser sees the parked bit and bumps the epoch.
   void ll_park(int w) {
     auto& me = *ll_workers[static_cast<std::size_t>(w)];
-    const std::uint64_t bit = std::uint64_t{1} << w;
-    parked_mask.fetch_or(bit);
-    if (remaining_ll.load() == 0 || ll_has_ready() ||
+    std::atomic<std::uint64_t>& word =
+        parked_mask[static_cast<std::size_t>(w) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+    word.fetch_or(bit);
+    if (remaining.load() == 0 || ll_has_ready() ||
         nested_ready_total.load() != 0) {
-      parked_mask.fetch_and(~bit);
+      word.fetch_and(~bit);
       return;
     }
     {
@@ -997,18 +865,18 @@ struct Engine::Impl {
       // Second check under park_mu: a wake that raced ahead of us has
       // already bumped the epoch (publish precedes bump), so its work is
       // visible here and we must not sleep waiting for a second wake.
-      if (remaining_ll.load() != 0 && !ll_has_ready() &&
+      if (remaining.load() != 0 && !ll_has_ready() &&
           nested_ready_total.load() == 0) {
         runtime_counters().ll_parks.fetch_add(1, std::memory_order_relaxed);
         me.park_cv.wait(lk, [&] { return me.wake_epoch != seen; });
       }
     }
-    parked_mask.fetch_and(~bit);
+    word.fetch_and(~bit);
   }
 
   // --- nested sub-epoch execution (DESIGN.md section 11) -----------------
 
-  /// Count of ready (queued, unclaimed) tasks across the lock-light
+  /// Count of ready (queued, unclaimed) slots across the pool's occupancy
   /// mirrors; feeds the nesting gate's occupancy heuristic.
   index_t ll_ready_count() const {
     if (opts.policy == SchedulerPolicy::Priority) return prio_size.load();
@@ -1023,7 +891,7 @@ struct Engine::Impl {
   /// spinning idle or soon will be; "+1" counts the caller's own task as
   /// occupying the caller).
   bool nested_workers_available() const {
-    return parked_mask.load() != 0 ||
+    return any_parked() ||
            ll_ready_count() + 1 < static_cast<index_t>(opts.num_workers);
   }
 
@@ -1100,6 +968,7 @@ struct Engine::Impl {
   }
 
   void ll_worker_loop(int w, const std::chrono::steady_clock::time_point t0) {
+    const CapturedGraph& g = *eg;
     auto& me = *ll_workers[static_cast<std::size_t>(w)];
     std::vector<TaskId> batch;
     std::vector<int> targets;
@@ -1112,8 +981,8 @@ struct Engine::Impl {
     int idle_rounds = 0;
     constexpr int kSpinRounds = 6;   // exponential pause backoff ...
     constexpr int kYieldRounds = 4;  // ... then yields, then park
-    while (remaining_ll.load() != 0) {
-      const TaskId id = ll_pop(w, my_sig);
+    while (remaining.load() != 0) {
+      TaskId id = ll_pop(w, my_sig);
       if (id < 0) {
         // Idle: prefer stealing a nested task over backing off — the
         // sub-epoch's owner is blocked in wait() until it drains.
@@ -1133,94 +1002,107 @@ struct Engine::Impl {
         continue;
       }
       idle_rounds = 0;
-      Task& t = tasks[static_cast<std::size_t>(id)];
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      std::exception_ptr error;
-      try {
-        t.fn();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const double dur = timer.seconds();
-      if (error) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = error;
-      }
-      t.duration_s = dur;
-      t.done = true;
-      t.pending = 0;
-      if (aff_epoch) {
-        // Publish write ownership before releasing successors, so a
-        // successor's placement sees this task's outputs as ours.
-        std::uint64_t bits = 0;
-        for (const Access& a : t.accesses) {
-          if (a.mode == AccessMode::Read) continue;
-          aff_owner[static_cast<std::size_t>(a.handle.id)].store(
-              w, std::memory_order_relaxed);
-          bits |= aff_sig_bit(a.handle.id);
+      // Run the popped slot, then walk its fused chain inline: each fused
+      // tail has in-degree 1, so this worker owns it outright and skips the
+      // queue round-trip (the offline fusion pass, graph_cache.hpp). Live
+      // graphs are not fused.
+      while (id >= 0) {
+        const auto slot = static_cast<std::size_t>(id);
+        // The checker enters after the pop and leaves before successors
+        // are released, so every edge orders a leave before an enter.
+        if (opts.check_conflicts) {
+          std::lock_guard<std::mutex> lk(mu);
+          checker_enter(id);
         }
-        if (++sig_age >= kSigDecay) {
-          my_sig = 0;
-          sig_age = 0;
+        const double start =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count();
+        Timer timer;
+        std::exception_ptr error;
+        try {
+          fns[slot]();
+        } catch (...) {
+          error = std::current_exception();
         }
-        my_sig |= bits;
-      }
-      // Batched successor release: resolve all dependency counters first,
-      // publish the newly-ready set with one lock, then hand the surplus
-      // (everything this worker won't immediately run itself) to parked
-      // workers with targeted wakeups.
-      batch.clear();
-      for (const TaskId succ : t.successors)
-        if (pending_ll[static_cast<std::size_t>(succ - ll_base)].fetch_sub(
-                1) == 1)
-          batch.push_back(succ);
-      if (!batch.empty()) {
+        const double dur = timer.seconds();
+        if (opts.check_conflicts) {
+          std::lock_guard<std::mutex> lk(mu);
+          checker_leave(id);
+        }
+        if (error) {
+          std::lock_guard<std::mutex> lk(err_mu);
+          if (!first_error) first_error = error;
+        }
+        epoch_dur[slot] = dur;
         if (aff_epoch) {
-          ll_dispatch_affinity(w, batch, targets, sub, /*self_busy=*/false);
-        } else {
-          ll_push_batch(w, batch);
-          if (batch.size() > 1)
-            ll_wake(static_cast<index_t>(batch.size()) - 1);
+          // Publish write ownership before releasing successors, so a
+          // successor's placement sees this slot's outputs as ours.
+          std::uint64_t bits = 0;
+          for (index_t e = g.acc_off[slot]; e < g.acc_off[slot + 1]; ++e) {
+            const auto ei = static_cast<std::size_t>(e);
+            if (!g.acc_write[ei]) continue;
+            const index_t h = g.acc_handle[ei];
+            if (static_cast<std::size_t>(h) < aff_owner_count)
+              aff_owner[static_cast<std::size_t>(h)].store(
+                  w, std::memory_order_relaxed);
+            bits |= aff_sig_bit(h);
+          }
+          if (++sig_age >= kSigDecay) {
+            my_sig = 0;
+            sig_age = 0;
+          }
+          my_sig |= bits;
         }
-      }
-      if (opts.record_trace)
-        me.local_trace.push_back(TraceEvent{t.id, w, start, start + dur});
-      if (remaining_ll.fetch_sub(1) == 1) {
-        ll_wake_all();
-        return;
+        // Batched successor release: resolve all dependency counters first,
+        // publish the newly-ready set with one lock, then hand the surplus
+        // (everything this worker won't immediately run itself) to parked
+        // workers with targeted wakeups. With a fused tail this worker
+        // stays busy, so every released slot is surplus.
+        const TaskId fused = g.fused_next.empty() ? -1 : g.fused_next[slot];
+        batch.clear();
+        for (index_t e = g.succ_off[slot]; e < g.succ_off[slot + 1]; ++e) {
+          const TaskId succ = g.succ[static_cast<std::size_t>(e)];
+          if (succ == fused) continue;  // runs inline below, never queued
+          if (pending[static_cast<std::size_t>(succ)].fetch_sub(1) == 1)
+            batch.push_back(succ);
+        }
+        if (!batch.empty()) {
+          if (aff_epoch) {
+            ll_dispatch_affinity(w, batch, targets, sub,
+                                 /*self_busy=*/fused >= 0);
+          } else {
+            ll_push_batch(w, batch);
+            const auto surplus =
+                static_cast<index_t>(batch.size()) - (fused >= 0 ? 0 : 1);
+            if (surplus > 0) ll_wake(surplus);
+          }
+        }
+        if (opts.record_trace)
+          me.local_trace.push_back(
+              TraceEvent{eg_base + id, w, start, start + dur});
+        if (remaining.fetch_sub(1) == 1) {
+          // A fused tail still pending would keep `remaining` above 1, so
+          // reaching 0 here means the chain (and the epoch) is done.
+          ll_wake_all();
+          return;
+        }
+        id = fused;
       }
     }
   }
 
-  /// Reset the per-worker queues, parked mask, and central heap for one
-  /// lock-light epoch (live or replay).
-  void ll_reset_queues() {
-    seed_rr = 0;  // simulator replays restart the round-robin each epoch
-    ll_workers.clear();
-    for (int w = 0; w < opts.num_workers; ++w)
-      ll_workers.push_back(std::make_unique<WorkerState>());
-    prio_heap_ll.clear();
-    prio_size.store(0);
-    parked_mask.store(0);
-  }
-
-  /// Seed one initially-ready task. The round-robin cursor is advanced for
-  /// every ready task under every policy (prio simply ignores it), exactly
+  /// Seed one initially-ready slot. The round-robin cursor is advanced for
+  /// every ready slot under every policy (prio simply ignores it), exactly
   /// like the simulator's seeding — also when affinity overrides the
   /// target, so the cursor positions tests assert stay policy-independent.
-  /// Under aff_epoch a seed whose inputs have a known last writer (tiles
-  /// factored in an earlier epoch, a replayed slot's offline placement)
-  /// goes to that owner instead of the cursor's worker.
-  void ll_seed(TaskId id) {
+  /// Under aff_epoch a seed with an affinity target (inputs with a known
+  /// last writer, or a replayed slot's offline placement) goes to that
+  /// owner instead of the cursor's worker.
+  void ll_seed(TaskId id, std::vector<std::uint64_t>& by_worker) {
     int target = next_seed_worker();
     if (aff_epoch) {
-      const int own =
-          replay != nullptr
-              ? aff_replay_target(id)
-              : aff_input_owner(tasks[static_cast<std::size_t>(id)]);
+      const int own = aff_target(id, by_worker);
       auto& rc = runtime_counters();
       if (own >= 0) {
         target = own;
@@ -1228,13 +1110,13 @@ struct Engine::Impl {
       } else {
         rc.affinity_misses.fetch_add(1, std::memory_order_relaxed);
       }
-      ll_owner[static_cast<std::size_t>(id - ll_base)].store(
-          target, std::memory_order_relaxed);
+      ll_owner[static_cast<std::size_t>(id)].store(target,
+                                                   std::memory_order_relaxed);
     }
+    const SlotPrioLess less{&eg->priority};
     if (opts.policy == SchedulerPolicy::Priority) {
-      prio_heap_ll.push_back(id);
-      std::push_heap(prio_heap_ll.begin(), prio_heap_ll.end(),
-                     LLPrioLess{&ll_prio, ll_base});
+      prio_heap.push_back(id);
+      std::push_heap(prio_heap.begin(), prio_heap.end(), less);
       prio_size.fetch_add(1);
     } else if (opts.policy == SchedulerPolicy::WorkStealing) {
       auto& q = *ll_workers[static_cast<std::size_t>(target)];
@@ -1243,8 +1125,7 @@ struct Engine::Impl {
     } else {
       auto& q = *ll_workers[static_cast<std::size_t>(target)];
       q.heap.push_back(id);
-      std::push_heap(q.heap.begin(), q.heap.end(),
-                     LLPrioLess{&ll_prio, ll_base});
+      std::push_heap(q.heap.begin(), q.heap.end(), less);
       q.size.fetch_add(1);
     }
   }
@@ -1263,45 +1144,48 @@ struct Engine::Impl {
                      });
   }
 
-  void run_parallel_locklight() {
+  /// Run the epoch graph on a fresh pool of opts.num_workers threads.
+  void run_pool() {
+    const CapturedGraph& g = *eg;
+    const auto n = static_cast<std::size_t>(g.count);
+    const auto P = static_cast<std::size_t>(opts.num_workers);
     const auto t0 = std::chrono::steady_clock::now();
-    const int P = opts.num_workers;
-    ll_reset_queues();
-    ll_base = retired;
-    const std::size_t n_epoch = tasks.size() - static_cast<std::size_t>(ll_base);
-    ll_prio.assign(n_epoch, 0);
-    pending_ll = std::make_unique<std::atomic<index_t>[]>(n_epoch);
+    seed_rr = 0;  // simulator replays restart the round-robin each epoch
+    ll_workers.clear();
+    for (std::size_t w = 0; w < P; ++w)
+      ll_workers.push_back(std::make_unique<WorkerState>());
+    prio_heap.clear();
+    prio_size.store(0);
+    for (std::size_t k = 0; k < parked_words; ++k) parked_mask[k].store(0);
+    pending = std::make_unique<std::atomic<index_t>[]>(n);
     aff_epoch = aff_enabled_epoch();
     if (aff_epoch) {
-      aff_owner_setup(handles.size());
-      ll_owner = std::make_unique<std::atomic<int>[]>(n_epoch);
-      aff_in_sig.assign(n_epoch, 0);
-      for (std::size_t i = static_cast<std::size_t>(retired);
-           i < tasks.size(); ++i) {
-        std::uint64_t sig = 0;
-        for (const Access& a : tasks[i].accesses)
-          if (a.mode != AccessMode::Write) sig |= aff_sig_bit(a.handle.id);
-        aff_in_sig[i - static_cast<std::size_t>(ll_base)] = sig;
-      }
+      aff_owner_setup(std::max(handles.size(),
+                               static_cast<std::size_t>(g.max_handle + 1)));
+      for (const auto& wsp : ll_workers) wsp->by_worker.assign(P, 0);
+      ll_owner = std::make_unique<std::atomic<int>[]>(n);
+      aff_in_sig.assign(n, 0);
+      if (has_access_bytes(g))
+        for (std::size_t i = 0; i < n; ++i)
+          for (index_t e = g.acc_off[i]; e < g.acc_off[i + 1]; ++e) {
+            const auto ei = static_cast<std::size_t>(e);
+            if (g.acc_read[ei]) aff_in_sig[i] |= aff_sig_bit(g.acc_handle[ei]);
+          }
     }
-    index_t rem = 0;
-    for (std::size_t i = static_cast<std::size_t>(retired); i < tasks.size();
-         ++i) {
-      Task& t = tasks[i];
-      if (t.done) continue;
-      ll_prio[static_cast<std::size_t>(t.id - ll_base)] = t.priority;
-      pending_ll[static_cast<std::size_t>(t.id - ll_base)].store(t.pending);
-      ++rem;
-      if (t.pending == 0) ll_seed(t.id);
-    }
-    if (rem == 0) {
+    for (std::size_t i = 0; i < n; ++i) pending[i].store(g.pending0[i]);
+    // Seeding runs before any worker starts, so it borrows worker 0's
+    // affinity scratch.
+    for (std::size_t i = 0; i < n; ++i)
+      if (g.pending0[i] == 0)
+        ll_seed(static_cast<TaskId>(i), ll_workers[0]->by_worker);
+    if (n == 0) {
       if (aff_epoch) aff_owner_teardown();
       return;
     }
-    remaining_ll.store(rem);
+    remaining.store(g.count);
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(P));
-    for (int w = 0; w < P; ++w)
+    pool.reserve(P);
+    for (int w = 0; w < opts.num_workers; ++w)
       pool.emplace_back([this, w, t0] {
         la::WorkspaceLease workspace_lease(w);
         // Publish the worker context so tasks run here can open parallel
@@ -1317,353 +1201,59 @@ struct Engine::Impl {
     merge_ll_trace();
   }
 
+  /// Execute graph `g` (slot i traced as task `base + i`) with the pool
+  /// loop, or inline for one worker or the fuzzer.
+  void execute(const CapturedGraph& g, TaskId base) {
+    eg = &g;
+    eg_base = base;
+    epoch_dur.assign(static_cast<std::size_t>(g.count), 0.0);
+    if (opts.check_conflicts) checker_reset();
+    if (opts.num_workers == 1 || opts.fuzz_schedule) {
+      run_inline();
+    } else {
+      run_pool();
+    }
+    eg = nullptr;
+  }
+
   // --- capture (DESIGN.md section 10) -------------------------------------
 
-  /// Build the CapturedGraph for the epoch [capture_start, tasks.size()).
-  /// Runs inside wait_all() after execution — the measured durations feed
-  /// the critical-path pass — but BEFORE retire_epoch(), which frees the
-  /// live tasks' closures and access lists; the captured copies are what
-  /// make replay safe after retirement. A failed or conflicted epoch is
-  /// discarded: callers see the exception and must not cache it.
+  /// Turn the executed live graph into the CapturedGraph: the measured
+  /// durations feed the offline passes (critical path, fusion, placement).
+  /// A failed or conflicted epoch is discarded: callers see the exception
+  /// and must not cache it.
   void finish_capture() {
     capture_armed = false;
     captured.reset();
     if (first_error || !conflict_log.empty()) return;
-    const index_t base = capture_start;
-    const auto n =
-        static_cast<std::size_t>(static_cast<index_t>(tasks.size()) - base);
-    auto g = std::make_shared<CapturedGraph>();
-    g->count = static_cast<index_t>(n);
-    g->succ_off.assign(n + 1, 0);
-    g->acc_off.assign(n + 1, 0);
-    g->pending0.assign(n, 0);
-    g->duration_s.assign(n, 0.0);
-    g->label.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Task& t = tasks[static_cast<std::size_t>(base) + i];
-      if (!t.done) return;  // stalled epoch: nothing worth recording
-      g->succ_off[i + 1] =
-          g->succ_off[i] + static_cast<index_t>(t.successors.size());
-      g->acc_off[i + 1] =
-          g->acc_off[i] + static_cast<index_t>(t.accesses.size());
-      g->pending0[i] = t.num_deps;
-      g->duration_s[i] = t.duration_s;
-      g->label[i] = t.label;
-    }
-    g->succ.reserve(static_cast<std::size_t>(g->succ_off[n]));
-    g->acc_handle.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_write.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_read.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    g->acc_bytes.reserve(static_cast<std::size_t>(g->acc_off[n]));
-    for (std::size_t i = 0; i < n; ++i) {
-      const Task& t = tasks[static_cast<std::size_t>(base) + i];
-      for (const TaskId s : t.successors) {
-        // begin_capture() required a drained engine and wait_all() drains
-        // before any later submission, so every edge stays in the epoch.
-        HCHAM_DCHECK(s >= base && s - base < static_cast<index_t>(n));
-        g->succ.push_back(s - base);
-      }
-      for (const Access& a : t.accesses) {
-        g->acc_handle.push_back(a.handle.id);
-        g->acc_write.push_back(a.mode == AccessMode::Read ? 0 : 1);
-        g->acc_read.push_back(a.mode == AccessMode::Write ? 0 : 1);
-        g->acc_bytes.push_back(static_cast<std::uint64_t>(
-            handles[static_cast<std::size_t>(a.handle.id)].bytes));
-        g->max_handle = std::max(g->max_handle, a.handle.id);
-      }
-    }
-    assign_critical_path_priorities(*g);
-    fuse_linear_chains(*g);
-    if (!affinity_disabled())
-      assign_affinity_placement(*g, opts.num_workers);
+    live.duration_s = std::move(epoch_dur);
+    assign_critical_path_priorities(live);
+    fuse_linear_chains(live);
+    if (!affinity_disabled()) assign_affinity_placement(live, opts.num_workers);
     epochs_captured.fetch_add(1, std::memory_order_relaxed);
     runtime_counters().graph_captures.fetch_add(1,
                                                 std::memory_order_relaxed);
     runtime_counters().graph_fused_pairs.fetch_add(
-        static_cast<std::uint64_t>(g->fused_pairs),
+        static_cast<std::uint64_t>(live.fused_pairs),
         std::memory_order_relaxed);
-    captured = std::move(g);
+    captured = std::make_shared<const CapturedGraph>(std::move(live));
   }
 
-  // --- replay execution ---------------------------------------------------
-  //
-  // Slots are epoch-local ids (0..count in submission order); the engine's
-  // task/handle history is untouched, so trace events and conflict
-  // diagnostics of a replayed epoch index slots, not task ids.
-
-  void replay_report_conflict(index_t slot, index_t other, index_t handle,
-                              const char* kind) {
-    const CapturedGraph& g = *replay;
-    const std::string& sl = g.label[static_cast<std::size_t>(slot)];
-    const std::string& ol = g.label[static_cast<std::size_t>(other)];
-    std::ostringstream msg;
-    msg << kind << " access conflict on handle #" << handle;
-    if (handle < static_cast<index_t>(handles.size()) &&
-        !handles[static_cast<std::size_t>(handle)].name.empty())
-      msg << " '" << handles[static_cast<std::size_t>(handle)].name << "'";
-    msg << ": replay slot " << slot << (sl.empty() ? "" : " [" + sl + "]")
-        << " started while slot " << other
-        << (ol.empty() ? "" : " [" + ol + "]") << " was running";
-    conflict_log.push_back(msg.str());
-  }
-
-  /// The checker arrays are sized to the captured graph's handle range:
-  /// the graph may have been captured on another engine (shared cache)
-  /// whose handle space is larger than this one's.
-  void replay_checker_reset() {
-    conflict_log.clear();
-    const auto nh = static_cast<std::size_t>(std::max<index_t>(
-        static_cast<index_t>(handles.size()), replay->max_handle + 1));
-    active_writer.assign(nh, -1);
-    active_readers.assign(nh, 0);
-    reader_witness.assign(nh, -1);
-  }
-
-  void replay_checker_enter(index_t slot) {
-    const CapturedGraph& g = *replay;
-    const auto s = static_cast<std::size_t>(slot);
-    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
-      if (!g.acc_write[ei]) {
-        if (active_writer[h] >= 0)
-          replay_report_conflict(slot, active_writer[h], g.acc_handle[ei],
-                                 "R/W");
-        ++active_readers[h];
-        reader_witness[h] = slot;
-      } else {
-        if (active_writer[h] >= 0)
-          replay_report_conflict(slot, active_writer[h], g.acc_handle[ei],
-                                 "W/W");
-        else if (active_readers[h] > 0)
-          replay_report_conflict(slot, reader_witness[h], g.acc_handle[ei],
-                                 "W/R");
-        active_writer[h] = slot;
-      }
-    }
-  }
-
-  void replay_checker_leave(index_t slot) {
-    const CapturedGraph& g = *replay;
-    const auto s = static_cast<std::size_t>(slot);
-    for (index_t e = g.acc_off[s]; e < g.acc_off[s + 1]; ++e) {
-      const auto ei = static_cast<std::size_t>(e);
-      const auto h = static_cast<std::size_t>(g.acc_handle[ei]);
-      if (!g.acc_write[ei]) {
-        --active_readers[h];
-      } else if (active_writer[h] == slot) {
-        active_writer[h] = -1;
-      }
-    }
-  }
-
-  /// Slot order is a valid topological order (slots ascend in submission
-  /// order of the captured epoch), so single-threaded replay is a plain
-  /// scan; fusion is irrelevant here. Also stands in for the fuzz path,
-  /// whose random-replay machinery reads live-task state, and for > 64
-  /// workers, where the parked-worker bitmask would overflow.
-  void run_replay_sequential() {
-    const CapturedGraph& g = *replay;
-    la::WorkspaceLease workspace_lease;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (index_t i = 0; i < g.count; ++i) {
-      const double start =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      Timer timer;
-      try {
-        replay_fns[static_cast<std::size_t>(i)]();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (opts.record_trace)
-        trace.push_back(TraceEvent{i, 0, start, start + timer.seconds()});
-    }
-  }
-
-  void replay_worker_loop(int w,
-                          const std::chrono::steady_clock::time_point t0) {
-    const CapturedGraph& g = *replay;
-    auto& me = *ll_workers[static_cast<std::size_t>(w)];
-    std::vector<TaskId> batch;
-    std::vector<int> targets;
-    std::vector<TaskId> sub;
-    std::uint64_t my_sig = 0;
-    int sig_age = 0;
-    constexpr int kSigDecay = 128;
-    int idle_rounds = 0;
-    constexpr int kSpinRounds = 6;   // exponential pause backoff ...
-    constexpr int kYieldRounds = 4;  // ... then yields, then park
-    while (remaining_ll.load() != 0) {
-      TaskId id = ll_pop(w, my_sig);
-      if (id < 0) {
-        // Same nested-steal hook as the live loop: replayed tile tasks
-        // re-run the gate and may open sub-epochs of their own.
-        if (try_steal_nested(w)) {
-          idle_rounds = 0;
-          continue;
-        }
-        ++idle_rounds;
-        if (idle_rounds <= kSpinRounds) {
-          for (int i = 0; i < (1 << idle_rounds); ++i) cpu_pause();
-        } else if (idle_rounds <= kSpinRounds + kYieldRounds) {
-          std::this_thread::yield();
-        } else {
-          ll_park(w);
-          idle_rounds = 0;
-        }
-        continue;
-      }
-      idle_rounds = 0;
-      // Run the popped slot, then walk its fused chain inline: each fused
-      // tail has in-degree 1, so this worker owns it outright and skips the
-      // queue round-trip (the offline fusion pass, graph_cache.hpp).
-      while (id >= 0) {
-        const auto slot = static_cast<std::size_t>(id);
-        if (opts.check_conflicts) {
-          std::lock_guard<std::mutex> lk(mu);
-          replay_checker_enter(id);
-        }
-        const double start =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        Timer timer;
-        std::exception_ptr error;
-        try {
-          replay_fns[slot]();
-        } catch (...) {
-          error = std::current_exception();
-        }
-        const double dur = timer.seconds();
-        if (opts.check_conflicts) {
-          std::lock_guard<std::mutex> lk(mu);
-          replay_checker_leave(id);
-        }
-        if (error) {
-          std::lock_guard<std::mutex> lk(err_mu);
-          if (!first_error) first_error = error;
-        }
-        if (aff_epoch) {
-          std::uint64_t bits = 0;
-          for (index_t e = g.acc_off[slot]; e < g.acc_off[slot + 1]; ++e) {
-            const auto ei = static_cast<std::size_t>(e);
-            if (!g.acc_write[ei]) continue;
-            const index_t h = g.acc_handle[ei];
-            if (static_cast<std::size_t>(h) < aff_owner_count)
-              aff_owner[static_cast<std::size_t>(h)].store(
-                  w, std::memory_order_relaxed);
-            bits |= aff_sig_bit(h);
-          }
-          if (++sig_age >= kSigDecay) {
-            my_sig = 0;
-            sig_age = 0;
-          }
-          my_sig |= bits;
-        }
-        const TaskId fused = g.fused_next[slot];
-        batch.clear();
-        for (index_t e = g.succ_off[slot]; e < g.succ_off[slot + 1]; ++e) {
-          const TaskId succ = g.succ[static_cast<std::size_t>(e)];
-          if (succ == fused) continue;  // runs inline below, never queued
-          if (pending_ll[static_cast<std::size_t>(succ)].fetch_sub(1) == 1)
-            batch.push_back(succ);
-        }
-        if (!batch.empty()) {
-          if (aff_epoch) {
-            // With a fused tail this worker stays busy, so every routed
-            // slot is surplus for parked workers.
-            ll_dispatch_affinity(w, batch, targets, sub,
-                                 /*self_busy=*/fused >= 0);
-          } else {
-            ll_push_batch(w, batch);
-            // With a fused tail this worker stays busy, so every released
-            // slot is surplus for parked workers; otherwise it takes one
-            // itself, as in the live path.
-            const auto surplus =
-                static_cast<index_t>(batch.size()) - (fused >= 0 ? 0 : 1);
-            if (surplus > 0) ll_wake(surplus);
-          }
-        }
-        if (opts.record_trace)
-          me.local_trace.push_back(TraceEvent{id, w, start, start + dur});
-        if (remaining_ll.fetch_sub(1) == 1) {
-          // A fused tail still pending would keep remaining_ll above 1,
-          // so reaching 0 here means the chain (and the epoch) is done.
-          ll_wake_all();
-          return;
-        }
-        id = fused;
-      }
-    }
-  }
-
-  void run_replay_locklight() {
-    const CapturedGraph& g = *replay;
-    const auto t0 = std::chrono::steady_clock::now();
-    const int P = opts.num_workers;
-    ll_reset_queues();
-    ll_base = 0;  // replay slots are epoch-local
-    ll_prio = g.priority;
-    pending_ll = std::make_unique<std::atomic<index_t>[]>(
-        static_cast<std::size_t>(g.count));
-    aff_epoch = aff_enabled_epoch();
-    if (aff_epoch) {
-      aff_owner_setup(std::max(handles.size(),
-                               static_cast<std::size_t>(g.max_handle + 1)));
-      ll_owner = std::make_unique<std::atomic<int>[]>(
-          static_cast<std::size_t>(g.count));
-      aff_in_sig.assign(static_cast<std::size_t>(g.count), 0);
-      if (has_access_bytes(g))
-        for (std::size_t i = 0; i < static_cast<std::size_t>(g.count); ++i) {
-          std::uint64_t sig = 0;
-          for (index_t e = g.acc_off[i]; e < g.acc_off[i + 1]; ++e) {
-            const auto ei = static_cast<std::size_t>(e);
-            if (g.acc_read[ei]) sig |= aff_sig_bit(g.acc_handle[ei]);
-          }
-          aff_in_sig[i] = sig;
-        }
-    }
-    for (index_t i = 0; i < g.count; ++i)
-      pending_ll[static_cast<std::size_t>(i)].store(
-          g.pending0[static_cast<std::size_t>(i)]);
-    for (index_t i = 0; i < g.count; ++i)
-      if (g.pending0[static_cast<std::size_t>(i)] == 0) ll_seed(i);
-    if (g.count == 0) {
-      if (aff_epoch) aff_owner_teardown();
-      return;
-    }
-    remaining_ll.store(g.count);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(P));
-    for (int w = 0; w < P; ++w)
-      pool.emplace_back([this, w, t0] {
-        la::WorkspaceLease workspace_lease(w);
-        tls_worker_pool = this;
-        tls_worker_id = w;
-        replay_worker_loop(w, t0);
-        tls_worker_pool = nullptr;
-        tls_worker_id = -1;
-      });
-    for (auto& th : pool) th.join();
-    if (aff_epoch) aff_owner_teardown();
-    merge_ll_trace();
-  }
-
-  void run_replay() {
-    HCHAM_CHECK_MSG(
-        replay_next == replay->count,
-        "replay: " + std::to_string(replay_next) + " closures bound for " +
-            std::to_string(replay->count) + " captured slots");
-    if (opts.check_conflicts) replay_checker_reset();
-    if (opts.num_workers == 1 || opts.fuzz_schedule ||
-        opts.num_workers > 64) {
-      run_replay_sequential();
-    } else {
-      run_replay_locklight();
-    }
-    epochs_replayed.fetch_add(1, std::memory_order_relaxed);
-    runtime_counters().graph_replays.fetch_add(1, std::memory_order_relaxed);
+  /// Run the live epoch [retired, tasks.size()), keep its durations in the
+  /// task history (graph(), to_dot() and the simulator read them), hand
+  /// the graph to an armed capture, and retire the epoch: its closures and
+  /// accesses are dropped and the live range advances.
+  void run_live_epoch() {
+    lower_epoch();
+    const TaskId base = retired;
+    execute(live, base);
+    for (std::size_t i = 0; i < epoch_dur.size(); ++i)
+      tasks[static_cast<std::size_t>(base) + i].duration_s = epoch_dur[i];
+    if (capture_armed) finish_capture();
+    retired = static_cast<index_t>(tasks.size());
+    fns.clear();
+    live = CapturedGraph{};
+    live.acc_off.push_back(0);
   }
 };
 
@@ -1682,53 +1272,39 @@ Handle Engine::register_data(std::string name, std::size_t bytes) {
 
 TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
                       int priority, std::string label) {
-  HCHAM_CHECK_MSG(!impl_->executing.load(std::memory_order_acquire),
+  Impl& im = *impl_;
+  HCHAM_CHECK_MSG(!im.executing.load(std::memory_order_acquire),
                   "submit() called while wait_all() is running");
-  impl_->open_submit_clock();
-  if (impl_->replay != nullptr) {
+  im.open_submit_clock();
+  if (im.replay != nullptr) {
     // Replay re-bind: the captured graph already fixes edges, priorities,
     // and access semantics, so only the closure is taken; everything else
     // the caller passes is ignored. Submission order IS the slot order.
-    Impl& im = *impl_;
     HCHAM_CHECK_MSG(im.replay_next < im.replay->count,
                     "replay: more submissions than captured slots");
-    im.replay_fns[static_cast<std::size_t>(im.replay_next)] = std::move(fn);
+    im.fns[static_cast<std::size_t>(im.replay_next)] = std::move(fn);
     return im.replay_next++;
   }
-  const TaskId id = static_cast<TaskId>(impl_->tasks.size());
+  for (const Access& a : accesses)
+    HCHAM_CHECK_MSG(a.handle.valid() &&
+                        a.handle.id < static_cast<index_t>(im.handles.size()),
+                    "unknown data handle");
+  const TaskId id = static_cast<TaskId>(im.tasks.size());
   Task t;
-  t.id = id;
-  t.fn = std::move(fn);
   t.label = std::move(label);
   t.priority = priority;
-  if (impl_->opts.check_conflicts || impl_->capture_armed ||
-      impl_->aff_track) {
-    // The checker and the affinity placer need the accesses at execution
-    // time, collapsed to one mode per handle (a task may list a handle
-    // several times); a capture records the same collapsed lists so
-    // replays stay checkable. Mixed read+write collapses to ReadWrite —
-    // still exclusive for the checker, still an input for placement.
-    for (const Access& a : accesses) {
-      auto it = std::find_if(t.accesses.begin(), t.accesses.end(),
-                             [&a](const Access& b) {
-                               return b.handle.id == a.handle.id;
-                             });
-      if (it == t.accesses.end())
-        t.accesses.push_back(Access{a.handle, a.mode});
-      else if (it->mode != a.mode)
-        it->mode = AccessMode::ReadWrite;
-    }
-  }
-  impl_->tasks.push_back(std::move(t));
+  im.tasks.push_back(std::move(t));
+  im.fns.push_back(std::move(fn));
+  // The checker and the affinity placer read the collapsed accesses at
+  // execution time; a capture records them so replays stay checkable.
+  if (im.opts.check_conflicts || im.capture_armed || im.aff_track)
+    im.collapse_accesses(accesses);
+  im.live.acc_off.push_back(static_cast<index_t>(im.live.acc_handle.size()));
 
   for (const Access& a : accesses) {
-    HCHAM_CHECK_MSG(a.handle.valid() &&
-                        a.handle.id < static_cast<index_t>(
-                                          impl_->handles.size()),
-                    "unknown data handle");
-    HandleState& hs = impl_->handles[static_cast<std::size_t>(a.handle.id)];
+    HandleState& hs = im.handles[static_cast<std::size_t>(a.handle.id)];
     if (a.mode == AccessMode::Read) {
-      if (hs.last_writer >= 0) impl_->add_edge(hs.last_writer, id);
+      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
       // Dedupe: a task that lists the same handle twice (or writes then
       // reads it) is one reader, not several.
       if (hs.readers_since_write.empty() ||
@@ -1736,9 +1312,9 @@ TaskId Engine::submit(std::function<void()> fn, std::vector<Access> accesses,
         hs.readers_since_write.push_back(id);
     } else {
       // Write / ReadWrite: after the last writer and every reader since.
-      if (hs.last_writer >= 0) impl_->add_edge(hs.last_writer, id);
+      if (hs.last_writer >= 0) im.add_edge(hs.last_writer, id);
       for (const TaskId r : hs.readers_since_write)
-        if (r != id) impl_->add_edge(r, id);
+        if (r != id) im.add_edge(r, id);
       hs.readers_since_write.clear();
       hs.last_writer = id;
     }
@@ -1765,44 +1341,36 @@ void Engine::wait_all() {
       Impl& im;
       ~ReplayGuard() {
         im.replay.reset();
-        im.replay_fns.clear();
+        im.fns.clear();
         im.replay_next = 0;
       }
     } rguard{im};
-    im.run_replay();
+    HCHAM_CHECK_MSG(
+        im.replay_next == im.replay->count,
+        "replay: " + std::to_string(im.replay_next) + " closures bound for " +
+            std::to_string(im.replay->count) + " captured slots");
+    im.execute(*im.replay, 0);
+    im.epochs_replayed.fetch_add(1, std::memory_order_relaxed);
+    runtime_counters().graph_replays.fetch_add(1, std::memory_order_relaxed);
   } else {
-    if (im.opts.check_conflicts) im.checker_reset();
-    if (im.opts.fuzz_schedule) {
-      im.run_fuzzed();
-    } else if (im.opts.num_workers == 1) {
-      im.run_sequential();
-    } else if (im.opts.check_conflicts || im.opts.num_workers > 64) {
-      // The conflict checker's bookkeeping needs the serialized pick/finish
-      // protocol of the global-lock path; beyond 64 workers the lock-light
-      // parked-worker bitmask would overflow.
-      im.run_parallel_locked();
-    } else {
-      im.run_parallel_locklight();
-    }
-    if (im.capture_armed) im.finish_capture();
-    im.retire_epoch();
+    im.run_live_epoch();
   }
   // A conflict means the engine itself scheduled two overlapping accesses:
   // more fundamental than any task failure, so it is surfaced first.
-  if (!impl_->conflict_log.empty()) {
-    impl_->first_error = nullptr;
-    throw Error(impl_->conflict_log.front() +
-                (impl_->conflict_log.size() > 1
-                     ? " (+" + std::to_string(impl_->conflict_log.size() - 1) +
+  if (!im.conflict_log.empty()) {
+    im.first_error = nullptr;
+    throw Error(im.conflict_log.front() +
+                (im.conflict_log.size() > 1
+                     ? " (+" + std::to_string(im.conflict_log.size() - 1) +
                            " more)"
                      : ""));
   }
   // Surface the first task failure to the caller. Remaining tasks have
   // been drained (dependents of the failed task still ran; kernels are
   // written to be safe on inconsistent inputs), so the engine stays usable.
-  if (impl_->first_error) {
-    std::exception_ptr e = impl_->first_error;
-    impl_->first_error = nullptr;
+  if (im.first_error) {
+    std::exception_ptr e = im.first_error;
+    im.first_error = nullptr;
     std::rethrow_exception(e);
   }
 }
@@ -1834,7 +1402,6 @@ bool Engine::begin_capture() {
   if (im.capture_armed || im.replay != nullptr || !im.all_drained())
     return false;
   im.capture_armed = true;
-  im.capture_start = static_cast<index_t>(im.tasks.size());
   im.captured.reset();
   return true;
 }
@@ -1859,7 +1426,7 @@ void Engine::begin_replay(std::shared_ptr<const CapturedGraph> graph) {
   HCHAM_CHECK_MSG(im.nested_live.load() == 0,
                   "begin_replay: engine has live nested sub-epochs");
   im.replay = std::move(graph);
-  im.replay_fns.assign(static_cast<std::size_t>(im.replay->count), nullptr);
+  im.fns.assign(static_cast<std::size_t>(im.replay->count), nullptr);
   im.replay_next = 0;
   im.open_submit_clock();
 }
@@ -1877,7 +1444,10 @@ Engine::ReplayStats Engine::replay_stats() const {
 double Engine::last_submit_phase_s() const { return impl_->last_submit_s; }
 
 int Engine::parked_workers() const {
-  return std::popcount(impl_->parked_mask.load());
+  int n = 0;
+  for (std::size_t k = 0; k < impl_->parked_words; ++k)
+    n += std::popcount(impl_->parked_mask[k].load());
+  return n;
 }
 
 bool Engine::on_worker_thread() const {
@@ -1907,15 +1477,16 @@ const std::vector<std::string>& Engine::conflicts() const {
 }
 
 std::string Engine::to_dot() const {
+  const std::vector<Task>& tasks = impl_->tasks;
   std::ostringstream out;
   out << "digraph tasks {\n";
-  for (const Task& t : impl_->tasks) {
-    out << "  t" << t.id << " [label=\""
-        << (t.label.empty() ? std::to_string(t.id) : t.label) << "\"];\n";
-  }
-  for (const Task& t : impl_->tasks)
-    for (const TaskId s : t.successors)
-      out << "  t" << t.id << " -> t" << s << ";\n";
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    out << "  t" << i << " [label=\""
+        << (tasks[i].label.empty() ? std::to_string(i) : tasks[i].label)
+        << "\"];\n";
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    for (const TaskId s : tasks[i].successors)
+      out << "  t" << i << " -> t" << s << ";\n";
   out << "}\n";
   return out.str();
 }

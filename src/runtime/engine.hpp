@@ -8,9 +8,10 @@
 // Dependencies are inferred automatically from the declared accesses:
 // a writer waits for all previous readers and writers of the handle, a
 // reader waits for the last writer. Tasks are submitted from one thread
-// (the sequential task flow); wait_all() executes the graph on the worker
-// pool with the selected scheduling policy and records per-task durations,
-// which the simulator then replays at other worker counts.
+// (the sequential task flow); wait_all() lowers the epoch into a CSR graph
+// (the CapturedGraph form), executes it on the worker pool with the
+// selected scheduling policy, and records per-task durations, which the
+// simulator then replays at other worker counts.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +38,9 @@ class Engine {
     /// conflicts()) and surfaced as an Error from wait_all().
     bool check_conflicts = false;
     /// Debug: execute wait_all() single-threaded in a random topological
-    /// order drawn from fuzz_seed instead of the configured scheduler.
-    /// The replay is deterministic given the seed, so any
-    /// order-dependence bug reproduces from a single integer.
+    /// order drawn from fuzz_seed instead of the configured scheduler, for
+    /// live and replayed epochs alike. The order is deterministic given the
+    /// seed, so any order-dependence bug reproduces from a single integer.
     bool fuzz_schedule = false;
     std::uint64_t fuzz_seed = 0;
     /// Fault injection (tests only): silently drop the n-th inferred
@@ -99,16 +100,16 @@ class Engine {
 
   // --- symbolic capture & replay (DAG compilation, DESIGN.md section 10) --
   //
-  // begin_capture() arms recording for the NEXT epoch: the tasks submitted
-  // until the following wait_all() are recorded — closure slots in
-  // submission order, collapsed access lists, and the inferred edges — into
-  // an immutable CapturedGraph, built inside wait_all() after execution
-  // (so the measured durations feed the offline critical-path pass) and
-  // fetched with end_capture(). begin_replay(g) arms the opposite mode:
-  // subsequent submit() calls only re-bind their closures to the recorded
-  // slots in order (accesses, priority, and label are ignored — the graph
-  // is the contract) and the following wait_all() dispatches the captured
-  // DAG through the lock-light scheduler, skipping handle-state inference.
+  // Every live epoch is lowered into a CapturedGraph before it executes.
+  // begin_capture() keeps that graph for the NEXT epoch: closure slots in
+  // submission order, collapsed access lists, and the inferred edges, plus
+  // the measured durations, which feed the offline passes (critical path,
+  // fusion, placement) run after execution; end_capture() fetches it.
+  // begin_replay(g) arms the opposite mode: subsequent submit() calls only
+  // re-bind their closures to the recorded slots in order (accesses,
+  // priority, and label are ignored — the graph is the contract) and the
+  // following wait_all() runs the captured DAG through the same executors
+  // as a live epoch, skipping handle-state inference.
   //
   // Both modes require the engine to be drained (every prior task done):
   // a captured epoch must not have live cross-epoch edges, or a replay
@@ -154,8 +155,8 @@ class Engine {
   /// the nested-epoch occupancy heuristic and is exposed for tests.
   int parked_workers() const;
 
-  /// True when the calling thread is one of this engine's lock-light or
-  /// replay pool workers and is not already inside a nested task — the
+  /// True when the calling thread is one of this engine's pool workers
+  /// and is not already inside a nested task — the
   /// precondition for a NestedEpoch to run in parallel (stealable) mode.
   bool on_worker_thread() const;
 
@@ -191,8 +192,8 @@ struct NestedEpochImpl;
 //    workers). Submission defers tasks; wait() seals the graph, publishes
 //    the ready set, and parked/idle pool workers steal nested tasks from
 //    their idle loop while the owner helps until the sub-epoch drains.
-//  * inline mode — everything else (main thread, sequential/fuzzed/
-//    global-lock execution, nested-inside-nested, gate closed,
+//  * inline mode — everything else (main thread, the inline executor of
+//    a one-worker or fuzzed epoch, nested-inside-nested, gate closed,
 //    HCHAM_NESTED_DISABLE=1). submit() runs the closure immediately:
 //    submission order is a valid topological order of the inferred graph,
 //    so results are bit-identical to parallel mode by construction.

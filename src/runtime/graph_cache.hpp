@@ -78,8 +78,9 @@ struct CapturedGraph {
   std::vector<std::string> label;
 
   /// Chain fusion: slot run inline by the same worker right after this one
-  /// (-1 = none). A fused tail always has in-degree 1, so it is never
-  /// seeded and its pending counter is simply never decremented.
+  /// (-1 = none; empty = no slot has a tail, as in a lowered live epoch). A
+  /// fused tail always has in-degree 1, so it is never seeded and its
+  /// pending counter is simply never decremented.
   std::vector<TaskId> fused_next;
   std::vector<std::uint8_t> is_fused_tail;
   index_t fused_pairs = 0;

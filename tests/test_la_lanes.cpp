@@ -154,6 +154,33 @@ TEST(Lanes, Nrm2FallsBackToScaledLoop) {
   nrm2_scaled_fallback<std::complex<float>>(1e30f, 1e-30f);
 }
 
+/// Two or more infinite entries and no NaN give an infinite norm, as
+/// LAPACK's xNRM2 does; a NaN anywhere still propagates. Both the scaled
+/// loop and nrm2 (which falls back to it for non-finite input) are checked.
+template <typename T>
+void norm_of_several_infs() {
+  using R = real_t<T>;
+  const R inf = std::numeric_limits<R>::infinity();
+  const R nan = std::numeric_limits<R>::quiet_NaN();
+  const std::vector<T> two_infs = {T(1), T(inf), T(inf)};
+  const std::vector<T> inf_nan_inf = {T(inf), T(nan), T(inf)};
+  auto fro = [](const std::vector<T>& x) {
+    return la::norm_fro(la::ConstMatrixView<T>(x.data(), 3, 1, 3));
+  };
+  EXPECT_TRUE(std::isinf(fro(two_infs))) << precision_tag<T>();
+  EXPECT_TRUE(std::isinf(la::nrm2(3, two_infs.data()))) << precision_tag<T>();
+  EXPECT_TRUE(std::isnan(fro(inf_nan_inf))) << precision_tag<T>();
+  EXPECT_TRUE(std::isnan(la::nrm2(3, inf_nan_inf.data())))
+      << precision_tag<T>();
+}
+
+TEST(Lanes, SeveralInfsGiveInfAndNanStillPropagates) {
+  norm_of_several_infs<double>();
+  norm_of_several_infs<float>();
+  norm_of_several_infs<std::complex<double>>();
+  norm_of_several_infs<std::complex<float>>();
+}
+
 /// BLAS's rule for C += A op(B): a zero op(B)(l, j) contributes nothing to
 /// column j, even where column l of A holds an Inf. n = 6 runs both the
 /// four-column block and the single-column remainder.

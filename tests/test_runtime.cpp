@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/trace_json.hpp"
 
@@ -428,6 +429,54 @@ TEST(Runtime, EngineUsableAfterTaskFailure) {
   eng.submit([&x] { x = 7; }, {readwrite(h)});
   eng.wait_all();
   EXPECT_EQ(x, 7);
+}
+
+/// Pools wider than 64 workers: the parked-worker bitset spans two words
+/// and the affinity scratch is sized per pool. A randomized ~300-task DAG at
+/// 72 workers must bit-match the 1-worker referee under every policy, with
+/// and without the conflict checker, and leave no worker parked after
+/// wait_all(). 72 threads on a small host also forces heavy preemption
+/// inside the parking protocol.
+std::vector<double> run_wide_dag(int workers, SchedulerPolicy policy,
+                                 bool check) {
+  Engine eng({.num_workers = workers,
+              .policy = policy,
+              .check_conflicts = check});
+  constexpr int kCells = 96;
+  constexpr int kTasks = 300;
+  std::vector<Handle> hs;
+  std::vector<double> cells;
+  for (int i = 0; i < kCells; ++i) {
+    hs.push_back(eng.register_data("c" + std::to_string(i), sizeof(double)));
+    cells.push_back(1.0 + 0.01 * i);
+  }
+  Rng rng(72);
+  for (int t = 0; t < kTasks; ++t) {
+    const auto src = static_cast<std::size_t>(rng.uniform_index(kCells));
+    auto dst = static_cast<std::size_t>(rng.uniform_index(kCells));
+    if (dst == src) dst = (dst + 1) % kCells;
+    const double c = rng.uniform(0.1, 0.9);
+    eng.submit(
+        [&cells, src, dst, c] { cells[dst] = cells[dst] * c + cells[src]; },
+        {read(hs[src]), readwrite(hs[dst])},
+        static_cast<int>(rng.uniform_index(4)));
+  }
+  eng.wait_all();
+  EXPECT_EQ(eng.parked_workers(), 0)
+      << rt::to_string(policy) << " workers=" << workers;
+  EXPECT_TRUE(eng.conflicts().empty());
+  return cells;
+}
+
+TEST(Runtime, MoreThan64WorkersBitMatchTheSequentialReferee) {
+  const std::vector<double> ref =
+      run_wide_dag(1, SchedulerPolicy::Priority, false);
+  for (const SchedulerPolicy p :
+       {SchedulerPolicy::WorkStealing, SchedulerPolicy::LocalityWorkStealing,
+        SchedulerPolicy::Priority})
+    for (const bool check : {false, true})
+      EXPECT_EQ(run_wide_dag(72, p, check), ref)
+          << rt::to_string(p) << " check_conflicts=" << check;
 }
 
 }  // namespace
